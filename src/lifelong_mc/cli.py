@@ -11,7 +11,9 @@ errors), 2 for configuration problems, 1 for I/O problems.
 """
 
 import argparse
+import inspect
 import sys
+from dataclasses import fields
 
 from .datagen import MatrixFormatError
 from .harness import RunConfig, SweepGrid, cmd_compare_mixture, cmd_gen, cmd_run, cmd_sweep
@@ -24,11 +26,8 @@ class ConfigError(ValueError):
 def parse_config_file(path):
     """Read a key = value config file. Blank lines and lines starting with
     '#' are skipped; values keep internal whitespace."""
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as err:
-        raise err
+    with open(path) as fh:
+        text = fh.read()
     pairs = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
@@ -46,18 +45,6 @@ def parse_config_file(path):
     return pairs
 
 
-def _int(raw):
-    return int(raw)
-
-
-def _float(raw):
-    return float(raw)
-
-
-def _str(raw):
-    return raw
-
-
 def _s0(raw):
     return raw if raw == "auto" else int(raw)
 
@@ -70,26 +57,27 @@ def _int_list(raw):
     return [int(x) for x in raw.split(",") if x.strip()]
 
 
-_RUN_KEYS = {
-    "algorithm": _str, "generator": _str, "m": _int, "n": _int, "r": _int,
-    "d": _int, "trials": _int, "seed": _int, "out": _str, "noise": _str,
-    "noise_level": _float, "s0": _s0, "sparsity": _int, "n_subspaces": _int,
-    "per_subspace": _int, "subspace_dim": _int, "target_coherence": _float,
-    "block_scales": _float_list, "threshold_scale": _float, "zero_tol": _float,
-    "norm_mode": _str, "matrix_path": _str, "truth_path": _str,
-}
+# value parser per dataclass field type; s0 is the one `object` field
+_PARSERS = {int: int, float: float, str: str, list: _float_list, object: _s0}
 
-_SWEEP_KEYS = {
-    "m": _int, "n": _int, "rank_ratios": _float_list,
-    "sample_ratios": _float_list, "trials_per_cell": _int, "seed": _int,
-    "out": _str, "zero_tol": _float, "workers": _int,
-}
 
-_COMPARE_KEYS = {
-    "m": _int, "per_subspace": _int, "n_subspaces": _int, "subspace_dim": _int,
-    "d_values": _int_list, "trials": _int, "seed": _int, "out": _str,
-    "zero_tol": _float, "workers": _int,
-}
+def _field_keys(cls):
+    return {f.name: _PARSERS[f.type] for f in fields(cls)}
+
+
+def _command_keys(func, **extra):
+    """Keys for a command's keyword arguments: a RunConfig field's parser for
+    an argument of the same name, plus the extra ones."""
+    keys = {k: _RUN_KEYS[k] for k in inspect.signature(func).parameters if k in _RUN_KEYS}
+    keys.update(extra)
+    return keys
+
+
+_RUN_KEYS = _field_keys(RunConfig)
+_SWEEP_KEYS = {**_field_keys(SweepGrid), **_command_keys(cmd_sweep, workers=int)}
+_COMPARE_KEYS = _command_keys(cmd_compare_mixture, d_values=_int_list, workers=int)
+# compare-mixture arguments the CLI may omit, which the command itself requires
+_COMPARE_DEFAULTS = {"m": 50, "trials": 10}
 
 
 def _coerce(pairs, table, path):
@@ -105,66 +93,45 @@ def _coerce(pairs, table, path):
     return out
 
 
-def _apply_overrides(values, args, trials_key="trials"):
-    if args.seed is not None:
-        values["seed"] = args.seed
-    if args.out is not None:
-        values["out"] = args.out
-    if getattr(args, "trials", None) is not None:
-        values[trials_key] = args.trials
+def _load(args, table, trials_key="trials"):
+    """The config file's values, parsed by table, with the --seed, --out and
+    --trials overrides applied."""
+    values = _coerce(parse_config_file(args.config), table, args.config)
+    overrides = {"seed": args.seed, "out": args.out, trials_key: args.trials}
+    values.update((key, v) for key, v in overrides.items() if v is not None)
     return values
 
 
 def _run(args):
-    values = _coerce(parse_config_file(args.config), _RUN_KEYS, args.config)
-    values = _apply_overrides(values, args)
-    cfg = RunConfig(**values)
+    cfg = RunConfig(**_load(args, _RUN_KEYS))
     path, fraction = cmd_run(cfg)
     print(f"wrote {path} ({cfg.trials} trials, success fraction {fraction:g})")
     return 0
 
 
 def _gen(args):
-    values = _coerce(parse_config_file(args.config), _RUN_KEYS, args.config)
-    values = _apply_overrides(values, args)
+    values = _load(args, _RUN_KEYS)
     values.setdefault("out", "instance")
-    cfg = RunConfig(**values)
-    paths = cmd_gen(cfg)
+    paths = cmd_gen(RunConfig(**values))
     print(f"wrote {paths['L']} {paths['M']} {paths['meta']}")
     return 0
 
 
 def _sweep(args):
-    values = _coerce(parse_config_file(args.config), _SWEEP_KEYS, args.config)
-    values = _apply_overrides(values, args, trials_key="trials_per_cell")
-    seed = values.pop("seed", 0)
-    out = values.pop("out", "sweep.csv")
-    zero_tol = values.pop("zero_tol", 1e-8)
-    workers = values.pop("workers", None)
-    grid = SweepGrid(**values)
-    path, rows = cmd_sweep(grid, seed=seed, out=out, zero_tol=zero_tol, workers=workers)
+    values = _load(args, _SWEEP_KEYS, trials_key="trials_per_cell")
+    grid_keys = [f.name for f in fields(SweepGrid) if f.name in values]
+    grid = SweepGrid(**{key: values.pop(key) for key in grid_keys})
+    path, rows = cmd_sweep(grid, **values)
     print(f"wrote {path} ({len(rows)} cells)")
     return 0
 
 
 def _compare(args):
-    values = _coerce(parse_config_file(args.config), _COMPARE_KEYS, args.config)
-    values = _apply_overrides(values, args)
-    for required in ("d_values", "per_subspace", "n_subspaces", "subspace_dim"):
-        if required not in values:
-            raise ConfigError(f"{args.config}: missing key {required!r}")
-    path, rows = cmd_compare_mixture(
-        m=values.get("m", 50),
-        per_subspace=values["per_subspace"],
-        n_subspaces=values["n_subspaces"],
-        subspace_dim=values["subspace_dim"],
-        d_values=values["d_values"],
-        trials=values.get("trials", 10),
-        seed=values.get("seed", 0),
-        out=values.get("out", "compare.csv"),
-        zero_tol=values.get("zero_tol", 1e-8),
-        workers=values.get("workers"),
-    )
+    values = {**_COMPARE_DEFAULTS, **_load(args, _COMPARE_KEYS)}
+    for p in inspect.signature(cmd_compare_mixture).parameters.values():
+        if p.default is p.empty and p.name not in values:
+            raise ConfigError(f"{args.config}: missing key {p.name!r}")
+    path, rows = cmd_compare_mixture(**values)
     print(f"wrote {path} ({len(rows)} rows)")
     return 0
 
@@ -199,12 +166,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, TypeError, ValueError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
     except (OSError, MatrixFormatError) as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return 1
+    except (ConfigError, TypeError, ValueError) as err:
+        print(f"config error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

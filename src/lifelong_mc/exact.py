@@ -30,17 +30,14 @@ from .linalg import (
     RankDeficientError,
     _mgs_residual,
     extend_basis,
-    incoherence,
     numerical_rank,
     orthonormalize,
     project_residual,
+    require_finite,
     sample_indices,
     subsampled_complete,
 )
-from .report import RunReport, frobenius_error
-
-ABSORBED = "absorbed"
-REPRESENTED = "represented"
+from .report import ABSORBED, REPRESENTED, RunReport, frobenius_error
 
 
 class CombinatorialBudgetError(RuntimeError):
@@ -339,7 +336,7 @@ def run_exact(M, cfg, truth=None):
 
     for t in range(n):
         entries += cfg.d
-        v = M[omega.indices, t]
+        v = require_finite(M[omega.indices, t], t)
         vn = float(np.linalg.norm(v))
         if cfg.sparsity is None:
             fit = _full_fit(cache, v, vn, cfg)
@@ -348,7 +345,7 @@ def run_exact(M, cfg, truth=None):
                 cache.B, v, cfg.sparsity, cfg.zero_tol, cfg.max_combinations, cache
             )
         if fit is None:
-            full = M[:, t].copy()
+            full = require_finite(M[:, t].copy(), t)
             dictionary.append(full)
             absorbed_at.append(t)
             recovered[:, t] = full
@@ -425,31 +422,3 @@ def _full_fit(cache, v, vn, cfg):
     if cache.residual(v) > cfg.zero_tol * vn:
         return None
     return _lstsq_coeffs(cache.B, v)
-
-
-def tau_incoherence(L, group_size, max_combinations=200_000):
-    """Worst-case coherence over all column groups of the given size.
-
-    Diagnostic for sparsity-bounded runs: enumerates every group of
-    `group_size` columns of L, orthonormalizes it, and returns the largest
-    coherence found. Guarded by a combination budget since the enumeration
-    is exponential in general.
-    """
-    L = np.asarray(L, dtype=float)
-    if L.ndim != 2:
-        raise ValueError("L must be 2-d")
-    n = L.shape[1]
-    if not 1 <= group_size <= n:
-        raise ValueError("group size must be within the column count")
-    total = math.comb(n, group_size)
-    if total > max_combinations:
-        raise CombinatorialBudgetError(
-            f"{total} column groups exceed the budget {max_combinations}"
-        )
-    worst = 1.0
-    for sup in itertools.combinations(range(n), group_size):
-        q = orthonormalize(L[:, sup])
-        if q.shape[1] == 0:
-            continue
-        worst = max(worst, incoherence(q))
-    return worst

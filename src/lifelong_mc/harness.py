@@ -18,10 +18,12 @@ from . import datagen
 from .datagen import Instance, NoiseSpec
 from .exact import CombinatorialBudgetError, ExactConfig, run_exact
 from .linalg import RankDeficientError, numerical_rank
-from .report import RunReport, frobenius_error
+from .report import frobenius_error
 from .tracker import TrackerConfig, run_stream
 
 SCHEMA_VERSION = 1
+# failures of a trial that are recorded as results rather than raised
+DATA_ERRORS = (RankDeficientError, CombinatorialBudgetError)
 THREADS_ENV = "LIFELONG_MC_THREADS"
 
 _MASK64 = (1 << 64) - 1
@@ -175,11 +177,10 @@ def make_instance(cfg, trial_seed):
     else:
         M = datagen.load_matrix(cfg.matrix_path)
         L = datagen.load_matrix(cfg.truth_path) if cfg.truth_path else M.copy()
-        inst = Instance(
+        return Instance(
             L=L, M=M, rank=cfg.r if cfg.r > 0 else numerical_rank(L),
             metadata={"generator": "file", "path": cfg.matrix_path},
         )
-        return inst
     if cfg.noise == "bounded":
         inst = datagen.apply_noise(inst, NoiseSpec("bounded", eps=cfg.noise_level), nseed)
     elif cfg.noise == "sparse":
@@ -268,15 +269,15 @@ def _write_csv(path, config_pairs, fieldnames, rows):
 
 
 def config_pairs(obj, extra=()):
-    pairs = []
-    for f in fields(obj):
-        value = getattr(obj, f.name)
+    """The `# key = value` head of a CSV: the fields of the dataclass obj
+    (none when obj is None) plus the extra pairs, sorted by key after
+    schema_version, with lists joined by commas."""
+    own = [(f.name, getattr(obj, f.name)) for f in fields(obj)] if obj is not None else []
+    pairs = [("schema_version", SCHEMA_VERSION)]
+    for key, value in sorted(own + list(extra), key=lambda kv: kv[0]):
         if isinstance(value, (list, tuple)):
             value = ",".join(_fmt(v) for v in value)
-        pairs.append((f.name, value))
-    pairs.extend(extra)
-    pairs.sort(key=lambda kv: kv[0])
-    pairs.insert(0, ("schema_version", SCHEMA_VERSION))
+        pairs.append((key, value))
     return pairs
 
 
@@ -295,11 +296,39 @@ COLUMN_FIELDS = [
 ]
 
 
+def _tally(cfg, trial_seeds):
+    """(successes, errors) of cfg over the given trial seeds. Only the
+    algorithmic failures RankDeficientError and CombinatorialBudgetError
+    count as data; any other error propagates."""
+    successes = errors = 0
+    for trial_seed in trial_seeds:
+        try:
+            report, _, _ = run_single(cfg, trial_seed)
+        except DATA_ERRORS:
+            errors += 1
+            continue
+        successes += int(metric_success(report, cfg.rank_effective))
+    return successes, errors
+
+
+def _map_cells(fn, tasks, workers):
+    """fn over tasks in order, in worker processes when the thread cap
+    allows more than one."""
+    n_workers = thread_cap(workers)
+    if n_workers == 1:
+        return [fn(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        return list(pool.map(fn, tasks))
+
+
 def cmd_run(cfg):
     """Run cfg.trials seeded trials (seeds cfg.seed .. cfg.seed+trials-1),
     write one row per trial plus an aggregate row. Tracker runs additionally
     write a per-column CSV next to the main one, suitable for plotting the
-    error trajectory along the stream."""
+    error trajectory along the stream. Algorithmic failures become error
+    rows; any other error propagates and no CSV is written."""
     rows = []
     column_rows = []
     successes = 0
@@ -309,7 +338,7 @@ def cmd_run(cfg):
         row = {"schema_version": SCHEMA_VERSION, "trial": i, "seed": trial_seed}
         try:
             report, result, inst = run_single(cfg, trial_seed)
-        except (RankDeficientError, CombinatorialBudgetError, ValueError) as err:
+        except DATA_ERRORS as err:
             row.update(success=0, error=f"{type(err).__name__}: {err}")
             rows.append(row)
             continue
@@ -383,20 +412,12 @@ def _sweep_cell(args):
     r = int(np.floor(grid.rank_ratios[ri] * grid.m))
     d = int(np.floor(grid.sample_ratios[si] * grid.m))
     s0 = max(0, d - r - 1)
-    successes = 0
-    errors = 0
-    for trial in range(grid.trials_per_cell):
-        trial_seed = mix_seed(seed, ri, si, trial)
-        cfg = RunConfig(
-            algorithm="exact", generator="gaussian", m=grid.m, n=grid.n,
-            r=r, d=d, noise="sparse", s0=s0, zero_tol=zero_tol,
-            trials=1, seed=trial_seed, out="",
-        )
-        try:
-            report, _, _ = run_single(cfg, trial_seed)
-            successes += int(metric_success(report, r))
-        except (RankDeficientError, CombinatorialBudgetError):
-            errors += 1
+    cfg = RunConfig(
+        algorithm="exact", generator="gaussian", m=grid.m, n=grid.n,
+        r=r, d=d, noise="sparse", s0=s0, zero_tol=zero_tol, out="",
+    )
+    seeds = [mix_seed(seed, ri, si, trial) for trial in range(grid.trials_per_cell)]
+    successes, errors = _tally(cfg, seeds)
     return {
         "schema_version": SCHEMA_VERSION,
         "rank_ratio": grid.rank_ratios[ri],
@@ -414,21 +435,15 @@ def _sweep_cell(args):
 def cmd_sweep(grid, seed=0, out="sweep.csv", zero_tol=1e-8, workers=None):
     """Exact-recovery success fraction over the (rank ratio, sample ratio)
     grid, s0 pinned to d - r - 1 per cell. Cells are independent; worker
-    processes are used when the thread cap allows. Per-trial failures and
-    algorithm errors count against the cell, never abort the sweep."""
+    processes are used when the thread cap allows. Failed recoveries and
+    algorithmic errors count against the cell; any other error aborts the
+    sweep before a CSV is written."""
     tasks = [
         (grid, seed, zero_tol, ri, si)
         for ri in range(len(grid.rank_ratios))
         for si in range(len(grid.sample_ratios))
     ]
-    n_workers = thread_cap(workers)
-    if n_workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            rows = list(pool.map(_sweep_cell, tasks))
-    else:
-        rows = [_sweep_cell(t) for t in tasks]
+    rows = _map_cells(_sweep_cell, tasks, workers)
     extra = [("command", "sweep"), ("seed", seed), ("zero_tol", zero_tol)]
     path = _write_csv(out, config_pairs(grid, extra), SWEEP_FIELDS, rows)
     return path, rows
@@ -441,36 +456,29 @@ COMPARE_FIELDS = [
 
 
 def _compare_point(args):
-    (m, per_subspace, n_subspaces, subspace_dim, seed, zero_tol, di, d, trials) = args
-    r = n_subspaces * subspace_dim
-    counts = {"exact": 0, "mixture": 0}
-    errs = {"exact": 0, "mixture": 0}
-    for trial in range(trials):
-        trial_seed = mix_seed(seed, di, trial)
-        inst = datagen.gen_mixture(
-            m, per_subspace, n_subspaces, subspace_dim, mix_seed(trial_seed, 1)
-        )
-        alg_seed = mix_seed(trial_seed, 3)
-        for name, sparsity in (("exact", None), ("mixture", subspace_dim)):
-            ecfg = ExactConfig(d=d, zero_tol=zero_tol, sparsity=sparsity, seed=alg_seed)
-            try:
-                result, report = run_exact(inst.M, ecfg, truth=(inst.L, []))
-                report.frob_rel_error, report.frob_abs_error = frobenius_error(
-                    result.recovered, inst.L, exclude_cols=result.outlier_indices
-                )
-                counts[name] += int(metric_success(report, r))
-            except (RankDeficientError, CombinatorialBudgetError):
-                errs[name] += 1
+    m, per_subspace, n_subspaces, subspace_dim, seed, zero_tol, di, d, trials = args
+    # the bounded test needs sparsity <= d; smaller d keep their rows, with zero trials
+    runs = trials if subspace_dim <= d else 0
+    seeds = [mix_seed(seed, di, trial) for trial in range(runs)]
     rows = []
-    for name in ("exact", "mixture"):
+    for algorithm in ("exact", "mixture"):
+        successes = errors = 0
+        if seeds:
+            cfg = RunConfig(
+                algorithm=algorithm, generator="mixture", m=m, d=d,
+                per_subspace=per_subspace, n_subspaces=n_subspaces,
+                subspace_dim=subspace_dim, sparsity=subspace_dim,
+                zero_tol=zero_tol, out="",
+            )
+            successes, errors = _tally(cfg, seeds)
         rows.append({
             "schema_version": SCHEMA_VERSION,
             "d": d,
-            "algorithm": name,
-            "trials": trials,
-            "successes": counts[name],
-            "success_fraction": counts[name] / trials,
-            "errors": errs[name],
+            "algorithm": algorithm,
+            "trials": len(seeds),
+            "successes": successes,
+            "success_fraction": successes / len(seeds) if seeds else 0.0,
+            "errors": errors,
         })
     return rows
 
@@ -483,41 +491,21 @@ def cmd_compare_mixture(m, per_subspace, n_subspaces, subspace_dim, d_values,
     sparsity equals the common subspace dimension; d values where the
     sparsity would exceed d are skipped for the bounded variant's
     constraint, reported with zero trials."""
-    tasks = []
-    rows_out = []
-    for di, d in enumerate(d_values):
-        if subspace_dim > d:
-            # the bounded test needs sparsity <= d; keep the row shape stable
-            for name in ("exact", "mixture"):
-                rows_out.append({
-                    "schema_version": SCHEMA_VERSION, "d": d, "algorithm": name,
-                    "trials": 0, "successes": 0, "success_fraction": 0.0,
-                    "errors": 0,
-                })
-            continue
-        tasks.append((m, per_subspace, n_subspaces, subspace_dim, seed,
-                      zero_tol, di, int(d), trials))
-    n_workers = thread_cap(workers)
-    if n_workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(_compare_point, tasks))
-    else:
-        results = [_compare_point(t) for t in tasks]
-    for pair in results:
-        rows_out.extend(pair)
-    rows_out.sort(key=lambda row: (row["d"], row["algorithm"]))
-    extra = [
+    d_values = [int(d) for d in d_values]
+    tasks = [
+        (m, per_subspace, n_subspaces, subspace_dim, seed, zero_tol, di, d, trials)
+        for di, d in enumerate(d_values)
+    ]
+    rows = [row for pair in _map_cells(_compare_point, tasks, workers) for row in pair]
+    rows.sort(key=lambda row: (row["d"], row["algorithm"]))
+    header = config_pairs(None, [
         ("command", "compare-mixture"), ("m", m), ("per_subspace", per_subspace),
         ("n_subspaces", n_subspaces), ("subspace_dim", subspace_dim),
-        ("d_values", ",".join(str(int(d)) for d in d_values)),
-        ("trials", trials), ("seed", seed), ("zero_tol", zero_tol),
-    ]
-    extra.sort(key=lambda kv: kv[0])
-    extra.insert(0, ("schema_version", SCHEMA_VERSION))
-    path = _write_csv(out, extra, COMPARE_FIELDS, rows_out)
-    return path, rows_out
+        ("d_values", d_values), ("trials", trials), ("seed", seed),
+        ("zero_tol", zero_tol),
+    ])
+    path = _write_csv(out, header, COMPARE_FIELDS, rows)
+    return path, rows
 
 
 def cmd_gen(cfg):

@@ -17,6 +17,14 @@ class RankDeficientError(ValueError):
     """A subsampled basis lost column rank; the sample set is too small."""
 
 
+def require_finite(values, column):
+    """values, once every entry is known to be finite; otherwise a
+    ValueError naming the stream column they were read from."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"column {column}: non-finite entry read")
+    return values
+
+
 @dataclass
 class IndexSet:
     """Row indices observed for one column, kept in draw order.

@@ -4,6 +4,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# per-column decisions of the streaming paths
+ABSORBED = "absorbed"
+REPRESENTED = "represented"
+
 
 @dataclass
 class RunReport:

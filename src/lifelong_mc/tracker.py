@@ -19,13 +19,11 @@ from .linalg import (
     _mgs_residual,
     extend_basis,
     orthonormalize,
+    require_finite,
     sample_indices,
     subsampled_complete,
 )
-from .report import RunReport, frobenius_error
-
-ABSORBED = "absorbed"
-REPRESENTED = "represented"
+from .report import ABSORBED, REPRESENTED, RunReport, frobenius_error
 
 
 @dataclass
@@ -125,17 +123,25 @@ def _sampled_residual(state, v):
     return float(np.linalg.norm(_mgs_residual(q, v)))
 
 
+def _read(column_oracle, rows, t):
+    v = np.asarray(column_oracle(rows), dtype=float)
+    if v.shape != rows.shape:
+        raise ValueError(f"column {t}: oracle returned the wrong number of entries")
+    return require_finite(v, t)
+
+
 def process_column(state, column_oracle, cfg):
     """Handle one arriving column through its entry-access oracle.
 
     The oracle maps an index array to the entry values at those rows. Only
     the sampled entries are requested; a full read happens exactly when the
-    column is absorbed, and the sample set is redrawn right after.
+    column is absorbed, and the sample set is redrawn right after. Every
+    read is checked for length and finiteness; a ValueError names the
+    column by its position in the stream.
     """
     idx = state.omega.indices
-    v = np.asarray(column_oracle(idx), dtype=float)
-    if v.shape != idx.shape:
-        raise ValueError("oracle returned the wrong number of entries")
+    t = len(state.column_log)
+    v = _read(column_oracle, idx, t)
     resid = _sampled_residual(state, v)
     cutoff = max(
         residual_threshold(state.basis_size, cfg, state.m),
@@ -147,7 +153,7 @@ def process_column(state, column_oracle, cfg):
         full = np.empty(state.m)
         full[idx] = v
         if rest.size:
-            full[rest] = np.asarray(column_oracle(rest), dtype=float)
+            full[rest] = _read(column_oracle, rest, t)
         state.basis = extend_basis(state.basis, full)
         state.absorb_events += 1
         state.resample(cfg)

@@ -80,6 +80,23 @@ class TestExitCodes:
         cfg = write(tmp_path / "c.cfg", "m = 16\ntrials = 1\n")
         assert main(["compare-mixture", "--config", cfg]) == 2
 
+    def test_run_inconsistent_config_is_config_error_without_csv(self, tmp_path):
+        # more samples per column than rows: every trial would fail the same way
+        cfg = write(tmp_path / "run.cfg", RUN_CFG.replace("d = 10", "d = 30"))
+        out = tmp_path / "out.csv"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen", "run"])
+    def test_malformed_matrix_file_is_io_error(self, tmp_path, command):
+        matrix = write(tmp_path / "m.txt", "2 2\n1 0\n0 oops\n")
+        cfg = write(
+            tmp_path / "file.cfg",
+            f"generator = file\nmatrix_path = {matrix}\nm = 2\nr = 1\nd = 1\n",
+        )
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+
 
 class TestOverrides:
     def test_seed_out_trials(self, tmp_path):

@@ -235,19 +235,16 @@ class TestCmdRun:
         decisions = {row["decision"] for row in rows}
         assert decisions <= {"absorbed", "represented"}
 
-    def test_trial_errors_recorded_not_raised(self, tmp_path):
-        # rank larger than the stream width: instance generation fails
+    def test_config_errors_raise_without_csv(self, tmp_path):
+        # rank larger than the stream width: a config error, not a result
         out = tmp_path / "e.csv"
         cfg = RunConfig(
             algorithm="exact", generator="gaussian", m=10, n=5, r=6, d=8,
             trials=2, seed=0, out=str(out),
         )
-        path, fraction = cmd_run(cfg)
-        assert fraction == 0.0
-        _, _, rows = read_csv(path)
-        assert all(row["success"] == "0" for row in rows[:2])
-        assert all(row["error"] for row in rows[:2])
-        assert "errored" in rows[-1]["error"]
+        with pytest.raises(ValueError):
+            cmd_run(cfg)
+        assert not out.exists()
 
 
 class TestCmdSweep:
@@ -311,6 +308,20 @@ class TestCmdCompareMixture:
         _, rows_a = cmd_compare_mixture(out=str(tmp_path / "a.csv"), **kw)
         _, rows_b = cmd_compare_mixture(out=str(tmp_path / "b.csv"), **kw)
         assert rows_a == rows_b
+
+    def test_parallel_matches_serial(self, tmp_path, monkeypatch):
+        kw = dict(
+            m=16, per_subspace=8, n_subspaces=2, subspace_dim=2,
+            d_values=[1, 4, 10], trials=2, seed=4,
+        )
+        monkeypatch.delenv("LIFELONG_MC_THREADS", raising=False)
+        pa = str(tmp_path / "serial.csv")
+        cmd_compare_mixture(out=pa, **kw)
+        monkeypatch.setenv("LIFELONG_MC_THREADS", "2")
+        pb = str(tmp_path / "par.csv")
+        cmd_compare_mixture(out=pb, workers=2, **kw)
+        # the output path is not part of the compare header
+        assert open(pa).read() == open(pb).read()
 
 
 class TestCmdGen:

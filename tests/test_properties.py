@@ -100,6 +100,26 @@ class TestStreamInvariants:
         assert rep.recovered_rank <= numerical_rank(result.dictionary.raw)
 
 
+class TestNonFiniteInput:
+    @given(
+        st.integers(0, 2**31),
+        st.integers(0, 39),
+        st.sampled_from([np.nan, np.inf, -np.inf]),
+        st.sampled_from(["tracker", "exact", "mixture"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_non_finite_column_always_raises(self, seed, t, bad, algorithm):
+        inst = gen_gaussian_lowrank(20, 40, 2, seed=seed)
+        M = inst.M.copy()
+        M[:, t] = bad
+        with pytest.raises(ValueError, match=rf"column {t}\b"):
+            if algorithm == "tracker":
+                run_stream(M, TrackerConfig(d=10, seed=seed + 1))
+            else:
+                sparsity = 2 if algorithm == "mixture" else None
+                run_exact(M, ExactConfig(d=10, sparsity=sparsity, seed=seed + 1))
+
+
 class TestNoiseInvariants:
     @given(st.integers(0, 2**31), st.sampled_from([1e-4, 1e-3, 1e-2, 0.1]))
     @settings(max_examples=30, deadline=None)

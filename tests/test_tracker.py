@@ -60,6 +60,15 @@ class TestProcessColumn:
         assert len(requested[0]) == 4
         assert sum(len(r) for r in requested) >= 10
 
+    def test_non_finite_full_read_raises(self):
+        # finite on the sample set, infinite elsewhere: caught on absorption
+        cfg = TrackerConfig(d=4, seed=0)
+        state = TrackerState(10, cfg)
+        col = np.full(10, np.inf)
+        col[state.omega.indices] = 0.5
+        with pytest.raises(ValueError, match=r"column 0\b"):
+            process_column(state, lambda ix: col[ix], cfg)
+
     def test_in_span_column_not_read_fully(self):
         cfg = TrackerConfig(d=6, seed=3)
         state = TrackerState(12, cfg)
