@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import incoherence, numerical_rank, orthonormalize
+from .linalg import numerical_rank, orthonormalize
 
 
 class MatrixFormatError(ValueError):

@@ -29,7 +29,6 @@ import numpy as np
 from .linalg import (
     RankDeficientError,
     _mgs_residual,
-    extend_basis,
     numerical_rank,
     orthonormalize,
     project_residual,
@@ -79,9 +78,8 @@ class ExactConfig:
 class BasisDictionary:
     """Fully observed columns in arrival order plus per-column counters.
 
-    Counters only ever increase. An orthonormal cache of the span is
-    maintained incrementally for rank queries; the raw columns themselves
-    are what representation tests run against.
+    Counters only ever increase. Representation tests run against the raw
+    columns.
     """
 
     def __init__(self, m):
@@ -90,7 +88,6 @@ class BasisDictionary:
         self.m = m
         self._raw = np.zeros((m, 0))
         self._counters = np.zeros(0, dtype=int)
-        self._orth = np.zeros((m, 0))
 
     @property
     def size(self):
@@ -104,10 +101,6 @@ class BasisDictionary:
     def counters(self):
         return self._counters.copy()
 
-    @property
-    def orth_basis(self):
-        return self._orth
-
     def append(self, column):
         col = np.asarray(column, dtype=float).ravel()
         if col.shape != (self.m,):
@@ -116,7 +109,6 @@ class BasisDictionary:
             raise ValueError("column entries must be finite")
         self._raw = np.column_stack([self._raw, col])
         self._counters = np.append(self._counters, 0)
-        self._orth = extend_basis(self._orth, col)
 
     def record_support(self, coeffs, zero_tol):
         """Bump the counter of every column whose coefficient is non-zero
@@ -175,12 +167,11 @@ def _combination_array(n_items, size):
 
 
 class _SampledDictionary:
-    """Per-epoch cache over one (dictionary, sample set) pairing.
-
-    Valid until the next absorption. Holds the subsampled raw columns, an
-    orthonormal basis of them, the numerical rank, and lazily built Gram
-    inverses per support size for the batched screening step of the sparse
-    search.
+    """Per-epoch cache over one (dictionary, sample set) pairing; the
+    tracker keeps one over its sampled basis rows. Valid until the next
+    absorption. Holds the subsampled raw columns, an orthonormal basis of
+    them, the numerical rank, and lazily built Gram inverses per support
+    size for the batched screening step of the sparse search.
     """
 
     def __init__(self, B):

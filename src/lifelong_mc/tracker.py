@@ -14,15 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (
-    RankDeficientError,
-    _mgs_residual,
-    extend_basis,
-    orthonormalize,
-    require_finite,
-    sample_indices,
-    subsampled_complete,
-)
+from .exact import _lstsq_coeffs, _SampledDictionary
+from .linalg import RankDeficientError, extend_basis, require_finite, sample_indices
 from .report import ABSORBED, REPRESENTED, RunReport, frobenius_error
 
 
@@ -88,7 +81,9 @@ class Completion:
 
 
 class TrackerState:
-    """Mutable single-pass state: basis, current sample set, RNG."""
+    """Mutable single-pass state: basis, current sample set, RNG, and the
+    factored sampled basis rows of the current epoch (columns since the
+    last absorption)."""
 
     def __init__(self, m, cfg):
         if not 1 <= cfg.d <= m:
@@ -99,6 +94,7 @@ class TrackerState:
         self.absorb_events = 0
         self.resample_events = 0
         self.column_log = []
+        self._epoch = None
         self.omega = sample_indices(
             m, cfg.d, cfg.with_replacement, self.rng, dedup=cfg.dedup_samples
         )
@@ -107,20 +103,24 @@ class TrackerState:
     def basis_size(self):
         return int(self.basis.shape[1])
 
+    @property
+    def epoch(self):
+        """The sampled basis rows with their orthonormal factor and rank,
+        built on first use after the sample set was drawn."""
+        if self._epoch is None:
+            self._epoch = _SampledDictionary(self.basis[self.omega.indices, :])
+        return self._epoch
+
     def resample(self, cfg):
         self.omega = sample_indices(
             self.m, cfg.d, cfg.with_replacement, self.rng, dedup=cfg.dedup_samples
         )
+        self._epoch = None
         self.resample_events += 1
 
 
 def _sampled_residual(state, v):
-    # rows of an orthonormal basis are not themselves orthonormal
-    rows = state.basis[state.omega.indices, :]
-    if rows.shape[1] == 0:
-        return float(np.linalg.norm(v))
-    q = orthonormalize(rows)
-    return float(np.linalg.norm(_mgs_residual(q, v)))
+    return state.epoch.residual(v)
 
 
 def _read(column_oracle, rows, t):
@@ -157,12 +157,15 @@ def process_column(state, column_oracle, cfg):
         state.basis = extend_basis(state.basis, full)
         state.absorb_events += 1
         state.resample(cfg)
-        comp = Completion(full.copy(), ABSORBED, resid, cutoff, k_at)
+        comp = Completion(full, ABSORBED, resid, cutoff, k_at)
     else:
-        if k_at:
-            est = subsampled_complete(state.basis, state.basis[idx, :], v)
-        else:
-            est = np.zeros(state.m)
+        epoch = state.epoch
+        if epoch.rank < k_at:
+            raise RankDeficientError(
+                f"sampled basis has rank {epoch.rank} < {k_at} columns over "
+                f"{idx.size} sampled rows; increase the sample count"
+            )
+        est = state.basis @ _lstsq_coeffs(epoch.B, v) if k_at else np.zeros(state.m)
         comp = Completion(est, REPRESENTED, resid, cutoff, k_at)
     state.column_log.append(comp)
     return comp
@@ -181,6 +184,7 @@ def run_stream(M, cfg, truth=None):
     carries the basis size, full-read count, the exact entry budget
     d*n + (m-d)*reads, and per-column errors when truth is given.
 
+    A column with a non-finite entry is rejected up front in either mode.
     Column norms are validated against the unit-norm assumption up to the
     noise level; strict mode raises, lenient mode rescales.
     """
@@ -191,6 +195,9 @@ def run_stream(M, cfg, truth=None):
     if not 1 <= cfg.d <= m:
         raise ValueError(f"need 1 <= d <= m, got d={cfg.d}, m={m}")
     norms = np.linalg.norm(M, axis=0)
+    bad = np.flatnonzero(~np.isfinite(norms))
+    if bad.size:
+        raise ValueError(f"column {bad[0]}: non-finite entry read")
     slack = cfg.noise_level + 1e-6
     off = np.flatnonzero(np.abs(norms - 1.0) > slack)
     if off.size:

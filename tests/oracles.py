@@ -9,6 +9,16 @@ from itertools import combinations
 
 import numpy as np
 
+from lifelong_mc.linalg import (
+    RankDeficientError,
+    _mgs_residual,
+    extend_basis,
+    orthonormalize,
+    sample_indices,
+    subsampled_complete,
+)
+from lifelong_mc.tracker import ABSORBED, REPRESENTED, residual_threshold
+
 
 def gram_schmidt(cols, tol=1e-10):
     """Classical Gram-Schmidt with explicit loops, dropping dependent
@@ -96,3 +106,58 @@ def principal_angle_definition(U, V):
         return 0.0
     s = np.linalg.svd(V.T @ U, compute_uv=False)
     return float(np.arccos(np.clip(s[-1], 0.0, 1.0)))
+
+
+def stream_reference(M, cfg):
+    """The tracker's single pass with nothing carried between columns but
+    the basis and the sample set: every column orthonormalizes the sampled
+    basis rows afresh, and completion re-checks their rank. Same RNG draws
+    as run_stream. M must already have unit-norm columns.
+
+    Returns (decisions, residuals, thresholds, estimates, failed_at):
+    per-column lists up to the first column whose completion hit a
+    rank-deficient sampled basis (failed_at, or None when every column
+    went through), and estimates as an m x (columns done) array.
+    """
+    M = np.asarray(M, dtype=float)
+    m, n = M.shape
+    rng = np.random.default_rng(cfg.seed)
+
+    def draw():
+        return sample_indices(
+            m, cfg.d, cfg.with_replacement, rng, dedup=cfg.dedup_samples
+        ).indices
+
+    idx = draw()
+    basis = np.zeros((m, 0))
+    decisions, residuals, thresholds, estimates = [], [], [], []
+    failed_at = None
+    for t in range(n):
+        v = M[idx, t]
+        k = basis.shape[1]
+        if k:
+            resid = float(np.linalg.norm(_mgs_residual(orthonormalize(basis[idx, :]), v)))
+        else:
+            resid = float(np.linalg.norm(v))
+        cutoff = max(residual_threshold(k, cfg, m), cfg.zero_floor * float(np.linalg.norm(v)))
+        if resid > cutoff:
+            est = M[:, t].copy()
+            basis = extend_basis(basis, est)
+            idx = draw()
+            decision = ABSORBED
+        else:
+            if k:
+                try:
+                    est = subsampled_complete(basis, basis[idx, :], v)
+                except RankDeficientError:
+                    failed_at = t
+                    break
+            else:
+                est = np.zeros(m)
+            decision = REPRESENTED
+        decisions.append(decision)
+        residuals.append(resid)
+        thresholds.append(cutoff)
+        estimates.append(est)
+    estimates = np.column_stack(estimates) if estimates else np.zeros((m, 0))
+    return decisions, residuals, thresholds, estimates, failed_at

@@ -81,7 +81,6 @@ class TestBasisDictionary:
             d.append(cols[:, j])
         d.append(cols @ np.array([1.0, 1.0, 1.0]))  # dependent
         assert d.size == 4
-        assert d.orth_basis.shape == (6, 3)
 
 
 class TestSupportOf:

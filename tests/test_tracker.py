@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from lifelong_mc.datagen import NoiseSpec, apply_noise, gen_gaussian_lowrank
+import oracles
+from lifelong_mc.datagen import NoiseSpec, apply_noise, gen_cumulative, gen_gaussian_lowrank
 from lifelong_mc.linalg import IndexSet, RankDeficientError, orthonormalize
 from lifelong_mc.tracker import (
     ABSORBED,
@@ -170,6 +171,16 @@ class TestRunStream:
         with pytest.raises(ValueError, match="column 2"):
             run_stream(M, cfg)
 
+    @pytest.mark.parametrize("norm_mode", ["strict", "lenient"])
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_column_rejected_as_non_finite(self, norm_mode):
+        inst = gen_gaussian_lowrank(20, 30, 3, seed=1)
+        M = inst.M.copy()
+        M[:, 7] = np.inf
+        cfg = TrackerConfig(d=10, norm_mode=norm_mode)
+        with pytest.raises(ValueError, match=r"^column 7: non-finite entry read$"):
+            run_stream(M, cfg)
+
     def test_lenient_mode_rescales(self):
         inst = gen_gaussian_lowrank(20, 60, 2, seed=3)
         M = inst.M * 2.5
@@ -219,3 +230,46 @@ class TestRunStream:
         cfg = TrackerConfig(d=50)
         with pytest.raises(ValueError):
             run_stream(np.eye(10), cfg)
+
+
+def _assert_matches_reference(M, cfg):
+    """run_stream against oracles.stream_reference: the same decisions,
+    residuals, thresholds and estimates, bit for bit, and a rank-deficient
+    completion at the same column. Returns that column or None."""
+    decisions, residuals, thresholds, estimates, failed_at = oracles.stream_reference(M, cfg)
+    if failed_at is None:
+        res = run_stream(M, cfg)
+    else:
+        with pytest.raises(RankDeficientError, match=rf"^column {failed_at}:") as info:
+            run_stream(M, cfg)
+        res = info.value.partial
+    assert [c.decision for c in res.completions] == decisions
+    assert [c.residual for c in res.completions] == residuals
+    assert [c.threshold for c in res.completions] == thresholds
+    assert np.array_equal(res.recovered, estimates)
+    return failed_at
+
+
+class TestStreamReference:
+    @pytest.mark.parametrize("noise_level", [0.0, 1e-3, 0.3])
+    @pytest.mark.parametrize("generator", ["gaussian", "cumulative"])
+    def test_matches_reference_loop(self, generator, noise_level):
+        for seed in range(5):
+            if generator == "gaussian":
+                inst = gen_gaussian_lowrank(30, 150, 4, seed=seed)
+            else:
+                inst = gen_cumulative(30, seed, widths=(30, 30, 30, 60))
+            if noise_level:
+                inst = apply_noise(inst, NoiseSpec("bounded", eps=noise_level), seed=seed + 50)
+            cfg = TrackerConfig(d=12, noise_level=noise_level, seed=seed + 100)
+            assert _assert_matches_reference(inst.M, cfg) is None
+
+    def test_rank_deficient_at_the_same_column(self):
+        # d=2 with replacement over m=8 rows: a doubled index meets the
+        # two-column basis on some of these seeds
+        failures = 0
+        for seed in range(12):
+            inst = gen_gaussian_lowrank(8, 60, 2, seed=seed)
+            cfg = TrackerConfig(d=2, seed=seed)
+            failures += _assert_matches_reference(inst.M, cfg) is not None
+        assert 0 < failures < 12
