@@ -34,6 +34,7 @@ from .linalg import (
     project_residual,
     require_finite,
     sample_indices,
+    spectrum_rank,
     subsampled_complete,
 )
 from .report import ABSORBED, REPRESENTED, RunReport, frobenius_error
@@ -112,13 +113,16 @@ class BasisDictionary:
 
     def record_support(self, coeffs, zero_tol):
         """Bump the counter of every column whose coefficient is non-zero
-        relative to the largest one."""
-        c = np.asarray(coeffs, dtype=float).ravel()
-        if c.shape != (self.size,):
+        relative to the largest one. A (size, b) block of coefficients
+        counts as b represented columns."""
+        c = np.asarray(coeffs, dtype=float)
+        if c.ndim != 2:
+            c = c.reshape(-1, 1)
+        if c.shape[0] != self.size:
             raise ValueError("coefficient vector length must match the dictionary")
-        peak = float(np.max(np.abs(c))) if c.size else 0.0
-        if peak > 0.0:
-            self._counters[np.abs(c) > zero_tol * peak] += 1
+        if c.size:
+            mag = np.abs(c)
+            self._counters += np.count_nonzero(mag > zero_tol * mag.max(axis=0), axis=1)
         return self._counters.copy()
 
 
@@ -176,15 +180,20 @@ class _SampledDictionary:
 
     def __init__(self, B):
         self.B = np.asarray(B, dtype=float)
-        self.q = orthonormalize(self.B)
-        self.rank = numerical_rank(self.B) if self.B.shape[1] else 0
+        # one SVD gives both the factorization's drop scale and the rank
+        s = np.linalg.svd(self.B, compute_uv=False) if self.B.size else np.zeros(1)
+        self.q = orthonormalize(self.B, scale=float(s[0]))
+        self.rank = spectrum_rank(s)
         self._gram = None
         self._inv = {}
 
     def residual(self, v):
-        if self.q.shape[1] == 0:
-            return float(np.linalg.norm(v))
-        return float(np.linalg.norm(_mgs_residual(self.q, v)))
+        """Distance from v to the span of the sampled rows; one distance per
+        column when v is a (d, b) block."""
+        y = _mgs_residual(self.q, v) if self.q.shape[1] else v
+        if y.ndim == 1:
+            return float(np.linalg.norm(y))
+        return np.linalg.norm(y, axis=0)
 
     def _gram_inverses(self, size):
         # ridge keeps degenerate supports solvable; the shift only inflates
@@ -306,6 +315,10 @@ def run_exact(M, cfg, truth=None):
     wholesale, so their clean values were never observable), and
     support_exact records whether the flagged set matches the true one.
 
+    A RankDeficientError names the column whose completion failed and
+    carries .partial, the (RecoveryResult, RunReport) over the columns
+    before it.
+
     Returns (RecoveryResult, RunReport).
     """
     M = np.asarray(M, dtype=float)
@@ -316,100 +329,148 @@ def run_exact(M, cfg, truth=None):
         raise ValueError(f"need 1 <= d <= m, got d={cfg.d}, m={m}")
 
     started = time.perf_counter()
-    rng = np.random.default_rng(cfg.seed)
-    omega = sample_indices(m, cfg.d, with_replacement=False, rng=rng)
-    dictionary = BasisDictionary(m)
-    cache = _SampledDictionary(dictionary.raw[omega.indices, :])
-    recovered = np.zeros_like(M)
-    absorbed_at = []
-    decisions = []
-    entries = 0
+    run = _ExactPass(M, cfg)
+    try:
+        run.stream()
+    except RankDeficientError as err:
+        wrapped = RankDeficientError(f"column {run.done}: {err}")
+        wrapped.partial = run.result(truth, started)
+        raise wrapped from err
+    return run.result(truth, started)
 
-    for t in range(n):
-        entries += cfg.d
-        v = require_finite(M[omega.indices, t], t)
-        vn = float(np.linalg.norm(v))
-        if cfg.sparsity is None:
-            fit = _full_fit(cache, v, vn, cfg)
-        else:
-            fit = _first_sparse_support(
-                cache.B, v, cfg.sparsity, cfg.zero_tol, cfg.max_combinations, cache
-            )
-        if fit is None:
-            full = require_finite(M[:, t].copy(), t)
-            dictionary.append(full)
-            absorbed_at.append(t)
-            recovered[:, t] = full
-            entries += m - cfg.d
-            omega = sample_indices(m, cfg.d, with_replacement=False, rng=rng)
-            cache = _SampledDictionary(dictionary.raw[omega.indices, :])
-            decisions.append(ABSORBED)
-            continue
 
-        try:
-            if cfg.sparsity is None:
-                coeffs = fit
-                dictionary.record_support(coeffs, cfg.zero_tol)
+# Columns tested together at the start of an epoch; the block doubles while
+# none of its columns is absorbed.
+_BLOCK = 8
+
+
+class _ExactPass:
+    """Mutable state of one run_exact pass: the dictionary, the RNG that
+    draws each epoch's sample set, and the columns handled so far (`done`
+    of them, recovered in place)."""
+
+    def __init__(self, M, cfg):
+        self.M = M
+        self.cfg = cfg
+        self.rng = np.random.default_rng(cfg.seed)
+        self.dictionary = BasisDictionary(M.shape[0])
+        self.recovered = np.zeros_like(M)
+        self.absorbed_at = []
+        self.done = 0
+
+    def stream(self):
+        m, n = self.M.shape
+        epoch = self._full_epoch if self.cfg.sparsity is None else self._sparse_epoch
+        while self.done < n:
+            # the sample set is redrawn after every absorption
+            rows = sample_indices(m, self.cfg.d, with_replacement=False, rng=self.rng).indices
+            epoch(rows, _SampledDictionary(self.dictionary.raw[rows, :]))
+            if self.done < n:
+                t = self.done
+                full = require_finite(self.M[:, t], t)
+                self.dictionary.append(full)
+                self.absorbed_at.append(t)
+                self.recovered[:, t] = full
+                self.done += 1
+
+    def _full_epoch(self, rows, cache):
+        """Represent columns by the whole dictionary, a block at a time, up
+        to the first one it does not fit, which is left for absorption."""
+        M, cfg, dictionary = self.M, self.cfg, self.dictionary
+        width = _BLOCK
+        while self.done < M.shape[1]:
+            t = self.done
+            V = M[rows, t:t + width]
+            finite = np.isfinite(V).all(axis=0)
+            # test up to the first non-finite column; it raises only if no
+            # absorption comes first, as later columns move to a new sample set
+            clean = V.shape[1] if finite.all() else int(np.argmin(finite))
+            fit = _full_fit(cache, V[:, :clean], cfg.zero_tol)
+            if fit:
                 if cache.rank < dictionary.size:
                     raise RankDeficientError(
                         f"sampled dictionary has rank {cache.rank} < "
                         f"{dictionary.size} columns; increase the sample count"
                     )
-                recovered[:, t] = dictionary.raw @ coeffs
-            else:
-                sup, csub = fit
-                scattered = np.zeros(dictionary.size)
-                scattered[sup] = csub
-                dictionary.record_support(scattered, cfg.zero_tol)
-                if sup.size:
-                    recovered[:, t] = subsampled_complete(
-                        dictionary.raw[:, sup], cache.B[:, sup], v
-                    )
-        except RankDeficientError as err:
-            raise RankDeficientError(f"column {t}: {err}") from err
-        decisions.append(REPRESENTED)
+                coeffs = _lstsq_coeffs(cache.B, V[:, :fit])
+                dictionary.record_support(coeffs, cfg.zero_tol)
+                self.recovered[:, t:t + fit] = dictionary.raw @ coeffs
+                self.done += fit
+            if fit < clean:
+                return
+            if clean < V.shape[1]:
+                require_finite(V[:, clean], self.done)  # raises
+            width *= 2
 
-    counters = dictionary.counters
-    outliers = [absorbed_at[j] for j in np.flatnonzero(counters == 0)]
-    basis_cols = [absorbed_at[j] for j in np.flatnonzero(counters > 0)]
-    retained = dictionary.raw[:, counters > 0]
-    result = RecoveryResult(
-        recovered=recovered,
-        basis_indices=basis_cols,
-        outlier_indices=outliers,
-        absorbed_indices=list(absorbed_at),
-        recovered_rank=numerical_rank(retained),
-        counters=counters,
-        dictionary=dictionary,
-        decisions=decisions,
-    )
-    report = RunReport(
-        basis_size=dictionary.size,
-        columns_absorbed=len(absorbed_at),
-        entries_sampled=entries,
-        recovered_rank=result.recovered_rank,
-        wall_time=time.perf_counter() - started,
-        outlier_indices=list(outliers),
-    )
-    if truth is not None:
-        L, noise_support = truth
-        L = np.asarray(L, dtype=float)
-        report.frob_rel_error, report.frob_abs_error = frobenius_error(
-            recovered, L, exclude_cols=outliers
+    def _sparse_epoch(self, rows, cache):
+        """Represent columns one at a time by the first support of at most
+        cfg.sparsity atoms that fits, up to the first column without one."""
+        M, cfg, dictionary = self.M, self.cfg, self.dictionary
+        while self.done < M.shape[1]:
+            t = self.done
+            v = require_finite(M[rows, t], t)
+            fit = _first_sparse_support(
+                cache.B, v, cfg.sparsity, cfg.zero_tol, cfg.max_combinations, cache
+            )
+            if fit is None:
+                return
+            sup, csub = fit
+            if sup.size:
+                self.recovered[:, t] = subsampled_complete(
+                    dictionary.raw[:, sup], cache.B[:, sup], v
+                )
+            scattered = np.zeros(dictionary.size)
+            scattered[sup] = csub
+            dictionary.record_support(scattered, cfg.zero_tol)
+            self.done += 1
+
+    def result(self, truth, started):
+        """(RecoveryResult, RunReport) over the columns done so far."""
+        t, cfg, dictionary = self.done, self.cfg, self.dictionary
+        m = self.M.shape[0]
+        recovered = self.recovered[:, :t]
+        decisions = [REPRESENTED] * t
+        for j in self.absorbed_at:
+            decisions[j] = ABSORBED
+        counters = dictionary.counters
+        outliers = [self.absorbed_at[j] for j in np.flatnonzero(counters == 0)]
+        basis_cols = [self.absorbed_at[j] for j in np.flatnonzero(counters > 0)]
+        result = RecoveryResult(
+            recovered=recovered,
+            basis_indices=basis_cols,
+            outlier_indices=outliers,
+            absorbed_indices=list(self.absorbed_at),
+            recovered_rank=numerical_rank(dictionary.raw[:, counters > 0]),
+            counters=counters,
+            dictionary=dictionary,
+            decisions=decisions,
         )
-        errors = np.linalg.norm(recovered - L, axis=0)
-        errors[list(outliers)] = np.nan
-        report.per_column_error = errors
-        report.support_exact = sorted(outliers) == sorted(int(j) for j in noise_support)
-    return result, report
+        report = RunReport(
+            basis_size=dictionary.size,
+            columns_absorbed=len(self.absorbed_at),
+            entries_sampled=cfg.d * t + (m - cfg.d) * len(self.absorbed_at),
+            recovered_rank=result.recovered_rank,
+            wall_time=time.perf_counter() - started,
+            outlier_indices=list(outliers),
+        )
+        if truth is not None and t:
+            L, noise_support = truth
+            L = np.asarray(L, dtype=float)[:, :t]
+            report.frob_rel_error, report.frob_abs_error = frobenius_error(
+                recovered, L, exclude_cols=outliers
+            )
+            errors = np.linalg.norm(recovered - L, axis=0)
+            errors[outliers] = np.nan
+            report.per_column_error = errors
+            report.support_exact = sorted(outliers) == sorted(
+                int(j) for j in noise_support if j < t
+            )
+        return result, report
 
 
-def _full_fit(cache, v, vn, cfg):
-    """Whole-dictionary representation test and coefficients, or None."""
-    if vn == 0.0:
-        return np.zeros(cache.B.shape[1])
-    if cache.B.shape[1] == 0:
-        return None
-    if cache.residual(v) > cfg.zero_tol * vn:
-        return None
-    return _lstsq_coeffs(cache.B, v)
+def _full_fit(cache, V, zero_tol):
+    """How many leading columns of the (d, b) block V the whole sampled
+    dictionary represents within zero_tol relative residual. A zero column
+    always fits; an empty dictionary fits nothing else."""
+    over = cache.residual(V) > zero_tol * np.linalg.norm(V, axis=0)
+    return int(np.argmax(over)) if over.any() else V.shape[1]

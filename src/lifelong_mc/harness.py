@@ -109,6 +109,9 @@ class RunConfig:
             raise ValueError("trials must be at least 1")
         if self.d < 1:
             raise ValueError("d must be at least 1")
+        if self.generator != "file" and self.d > self.m:
+            # a file's m is only known once it is read
+            raise ValueError(f"need 1 <= d <= m, got d={self.d}, m={self.m}")
         if self.algorithm == "mixture" and self.sparsity < 1:
             raise ValueError("the mixture algorithm needs sparsity >= 1")
         if isinstance(self.s0, str) and self.s0 != "auto":

@@ -52,6 +52,16 @@ class IndexSet:
     def __len__(self):
         return int(self.indices.size)
 
+    @classmethod
+    def _drawn(cls, indices, m, with_replacement):
+        """An index set straight from a draw that keeps every index in
+        range (and distinct without replacement), so the checks are skipped."""
+        self = object.__new__(cls)
+        self.indices = np.asarray(indices, dtype=np.intp)
+        self.m = m
+        self.with_replacement = with_replacement
+        return self
+
 
 def sample_indices(m, d, with_replacement, rng, dedup=False):
     """Draw d row indices uniformly from [0, m).
@@ -65,11 +75,11 @@ def sample_indices(m, d, with_replacement, rng, dedup=False):
     if with_replacement:
         idx = rng.integers(0, m, size=d)
         if dedup:
-            return IndexSet(np.unique(idx), m, with_replacement=False)
-        return IndexSet(idx, m, with_replacement=True)
+            return IndexSet._drawn(np.unique(idx), m, with_replacement=False)
+        return IndexSet._drawn(idx, m, with_replacement=True)
     if d > m:
         raise ValueError(f"cannot draw {d} distinct indices from {m} rows")
-    return IndexSet(rng.choice(m, size=d, replace=False), m, with_replacement=False)
+    return IndexSet._drawn(rng.choice(m, size=d, replace=False), m, with_replacement=False)
 
 
 def _mgs_residual(basis, v):
@@ -86,14 +96,14 @@ def _mgs_residual(basis, v):
     return y
 
 
-def orthonormalize(cols, tol=RANK_TOL):
+def orthonormalize(cols, tol=RANK_TOL, scale=None):
     """Orthonormal basis for the column span, by modified Gram-Schmidt.
 
     Columns are processed in order and a column is dropped when its residual
     against the basis built so far is at most tol times the largest singular
-    value of the input, so the number of returned columns matches
-    numerical_rank on benign inputs. An all-zero input yields a basis with
-    zero columns.
+    value of the input (scale, computed here unless the caller has it), so
+    the number of returned columns matches numerical_rank on benign inputs.
+    An all-zero input yields a basis with zero columns.
     """
     A = np.asarray(cols, dtype=float)
     if A.ndim != 2:
@@ -102,7 +112,8 @@ def orthonormalize(cols, tol=RANK_TOL):
     basis = np.zeros((m, 0))
     if n == 0 or not np.any(A):
         return basis
-    scale = float(np.linalg.norm(A, 2))
+    if scale is None:
+        scale = float(np.linalg.norm(A, 2))
     for j in range(n):
         y = _mgs_residual(basis, A[:, j])
         nrm = float(np.linalg.norm(y))
@@ -212,7 +223,11 @@ def numerical_rank(A, tol=RANK_TOL):
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or min(A.shape) == 0:
         return 0
-    s = np.linalg.svd(A, compute_uv=False)
-    if s[0] == 0.0:
+    return spectrum_rank(np.linalg.svd(A, compute_uv=False), tol)
+
+
+def spectrum_rank(s, tol=RANK_TOL):
+    """numerical_rank from the descending singular values s."""
+    if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > tol * s[0]))

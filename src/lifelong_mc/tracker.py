@@ -192,8 +192,8 @@ def run_stream(M, cfg, truth=None):
     if M.ndim != 2 or M.shape[1] < 1:
         raise ValueError("M must be 2-d with at least one column")
     m, n = M.shape
-    if not 1 <= cfg.d <= m:
-        raise ValueError(f"need 1 <= d <= m, got d={cfg.d}, m={m}")
+    started = time.perf_counter()
+    state = TrackerState(m, cfg)  # rejects a bad d before any column is checked
     norms = np.linalg.norm(M, axis=0)
     bad = np.flatnonzero(~np.isfinite(norms))
     if bad.size:
@@ -210,8 +210,6 @@ def run_stream(M, cfg, truth=None):
             raise ValueError("cannot rescale a zero column")
         M = M / norms
 
-    started = time.perf_counter()
-    state = TrackerState(m, cfg)
     recovered = np.empty_like(M)
     for t in range(n):
         col = M[:, t]

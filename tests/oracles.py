@@ -13,6 +13,7 @@ from lifelong_mc.linalg import (
     RankDeficientError,
     _mgs_residual,
     extend_basis,
+    numerical_rank,
     orthonormalize,
     sample_indices,
     subsampled_complete,
@@ -161,3 +162,76 @@ def stream_reference(M, cfg):
         estimates.append(est)
     estimates = np.column_stack(estimates) if estimates else np.zeros((m, 0))
     return decisions, residuals, thresholds, estimates, failed_at
+
+
+def exact_reference(M, cfg):
+    """run_exact's full-dictionary pass one column at a time: every column
+    is read on the current sample set, tested against a fresh orthonormal
+    factor of the sampled dictionary rows, and completed by its own
+    least-squares solve, and the counters are bumped one column at a time.
+    Same RNG draws as run_exact (cfg.sparsity must be None). A represented
+    column checks the sampled rank before it bumps any counter.
+
+    Returns (decisions, absorbed, counters, entries, estimates, error): the
+    per-column decisions, absorbed column positions, dictionary counters and
+    entries read over the columns handled before the first error, the
+    estimates of those columns as an m x (columns done) array, and the
+    exception that stopped the pass (None when every column went through).
+    """
+    M = np.asarray(M, dtype=float)
+    m, n = M.shape
+    rng = np.random.default_rng(cfg.seed)
+
+    def draw():
+        return sample_indices(m, cfg.d, with_replacement=False, rng=rng).indices
+
+    idx = draw()
+    raw = np.zeros((m, 0))
+    counters = np.zeros(0, dtype=int)
+    decisions, absorbed, estimates = [], [], []
+    entries = 0
+    error = None
+    for t in range(n):
+        v = M[idx, t]
+        if not np.all(np.isfinite(v)):
+            error = ValueError(f"column {t}: non-finite entry read")
+            break
+        B = raw[idx, :]
+        k = B.shape[1]
+        vn = float(np.linalg.norm(v))
+        if vn == 0.0:
+            coeffs = np.zeros(k)
+        elif k == 0:
+            coeffs = None
+        elif np.linalg.norm(_mgs_residual(orthonormalize(B), v)) > cfg.zero_tol * vn:
+            coeffs = None
+        else:
+            coeffs = np.linalg.lstsq(B, v, rcond=None)[0]
+        if coeffs is None:
+            full = M[:, t]
+            if not np.all(np.isfinite(full)):
+                error = ValueError(f"column {t}: non-finite entry read")
+                break
+            raw = np.column_stack([raw, full])
+            counters = np.append(counters, 0)
+            absorbed.append(t)
+            estimates.append(full.copy())
+            decisions.append(ABSORBED)
+            entries += m
+            idx = draw()
+            continue
+        rank = numerical_rank(B) if k else 0
+        if rank < k:
+            error = RankDeficientError(
+                f"column {t}: sampled dictionary has rank {rank} < {k} columns; "
+                "increase the sample count"
+            )
+            break
+        peak = float(np.max(np.abs(coeffs))) if k else 0.0
+        if peak > 0.0:
+            counters[np.abs(coeffs) > cfg.zero_tol * peak] += 1
+        estimates.append(raw @ coeffs)
+        decisions.append(REPRESENTED)
+        entries += cfg.d
+    estimates = np.column_stack(estimates) if estimates else np.zeros((m, 0))
+    return decisions, absorbed, counters, entries, estimates, error

@@ -127,7 +127,7 @@ class TestSubcommands:
     def test_gen(self, tmp_path, capsys):
         cfg = write(
             tmp_path / "gen.cfg",
-            "generator = gaussian\nm = 8\nn = 12\nr = 2\nseed = 1\n",
+            "generator = gaussian\nm = 8\nn = 12\nr = 2\nd = 6\nseed = 1\n",
         )
         rc = main(["gen", "--config", cfg, "--out", str(tmp_path / "inst")])
         assert rc == 0

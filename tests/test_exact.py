@@ -9,11 +9,13 @@ from lifelong_mc.exact import (
     BasisDictionary,
     CombinatorialBudgetError,
     ExactConfig,
+    _SampledDictionary,
     exact_test,
     run_exact,
     sparse_represent,
     support_of,
 )
+from lifelong_mc.linalg import RankDeficientError, numerical_rank, orthonormalize, sample_indices
 
 
 class TestExactTest:
@@ -73,6 +75,21 @@ class TestBasisDictionary:
         d.record_support(np.array([0.0, 2.0, 0.0]), zero_tol=1e-8)
         assert d.counters.tolist() == [1, 1, 1]
 
+    def test_record_support_block_counts_each_column(self):
+        rng = np.random.default_rng(5)
+        block, single = BasisDictionary(4), BasisDictionary(4)
+        for j in range(3):
+            col = rng.standard_normal(4)
+            block.append(col)
+            single.append(col)
+        C = np.array([[1.0, 0.0, 3.0, 0.0], [1e-12, 0.0, -2.0, 0.0], [0.5, 0.0, 0.0, 1.0]])
+        block.record_support(C, zero_tol=1e-8)
+        for j in range(C.shape[1]):
+            single.record_support(C[:, j], zero_tol=1e-8)
+        assert block.counters.tolist() == single.counters.tolist() == [2, 1, 2]
+        with pytest.raises(ValueError):
+            block.record_support(np.ones((2, 3)), zero_tol=1e-8)
+
     def test_orth_basis_tracks_span(self):
         d = BasisDictionary(6)
         rng = np.random.default_rng(4)
@@ -81,6 +98,27 @@ class TestBasisDictionary:
             d.append(cols[:, j])
         d.append(cols @ np.array([1.0, 1.0, 1.0]))  # dependent
         assert d.size == 4
+
+
+class TestSampledDictionary:
+    def test_factor_and_rank_match_the_primitives(self):
+        # one SVD feeds both; the results must not move by a bit
+        rng = np.random.default_rng(6)
+        for B in (rng.standard_normal((9, 4)), np.zeros((9, 3)), np.zeros((9, 0)),
+                  rng.standard_normal((9, 2)) @ rng.standard_normal((2, 5))):
+            cache = _SampledDictionary(B)
+            assert np.array_equal(cache.q, orthonormalize(B))
+            assert cache.rank == numerical_rank(B)
+
+    def test_block_residual_matches_columns(self):
+        rng = np.random.default_rng(7)
+        for k in (0, 3):
+            cache = _SampledDictionary(rng.standard_normal((8, k)))
+            V = rng.standard_normal((8, 5))
+            V[:, 2] = 0.0
+            per_column = [cache.residual(V[:, j]) for j in range(5)]
+            assert isinstance(per_column[0], float)
+            assert np.allclose(cache.residual(V), per_column, rtol=1e-13, atol=0.0)
 
 
 class TestSupportOf:
@@ -268,6 +306,23 @@ class TestRunExact:
                 else:
                     assert counters[j] > 0
 
+    def test_rank_deficient_sample_names_column_and_keeps_partial(self):
+        # a sample set that misses rows 0 and 1 sees the two-column
+        # dictionary as rank one, and the next in-span column must fail
+        raised = None
+        for seed in range(50):
+            try:
+                run_exact(_two_block_stream(seed), ExactConfig(d=4, seed=seed))
+            except RankDeficientError as err:
+                raised = err
+                break
+        assert raised is not None
+        t = int(str(raised).split(":")[0].removeprefix("column "))
+        result, report = raised.partial
+        assert report.basis_size == 2
+        assert len(result.decisions) == result.recovered.shape[1] == t
+        assert report.entries_sampled == 4 * t + (10 - 4) * report.columns_absorbed
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ExactConfig(d=0)
@@ -277,3 +332,122 @@ class TestRunExact:
             ExactConfig(d=5, zero_tol=0.0)
         with pytest.raises(ValueError):
             run_exact(np.eye(4), ExactConfig(d=5))
+
+
+def _two_block_stream(seed, m=10, n=40):
+    """Unit columns mixing a direction on rows 0-1 with one on the other
+    rows: a sample set that misses rows 0 and 1 sees a dictionary of two
+    such columns as rank one. The first 12 columns lie on the second
+    direction alone, so a failure comes after represented columns."""
+    rng = np.random.default_rng(seed)
+    U = np.zeros((m, 2))
+    U[:2, 0] = rng.standard_normal(2)
+    U[2:, 1] = rng.standard_normal(m - 2)
+    W = rng.standard_normal((2, n))
+    W[0, :12] = 0.0
+    M = U @ W
+    return M / np.linalg.norm(M, axis=0)
+
+
+def _assert_matches_exact_reference(M, cfg):
+    """run_exact against oracles.exact_reference: the same decisions,
+    absorbed columns, counters, outliers and entries, recovered columns
+    within 1e-12, and the same error at the same column. Returns the
+    reference's (decisions, absorbed, error)."""
+    decisions, absorbed, counters, entries, estimates, error = oracles.exact_reference(M, cfg)
+    if error is None:
+        result, report = run_exact(M, cfg)
+    else:
+        with pytest.raises(type(error)) as info:
+            run_exact(M, cfg)
+        assert type(info.value) is type(error)
+        assert str(info.value) == str(error)
+        if not isinstance(error, RankDeficientError):
+            return decisions, absorbed, error
+        result, report = info.value.partial
+    assert result.decisions == decisions
+    assert result.absorbed_indices == absorbed
+    assert result.counters.tolist() == counters.tolist()
+    assert result.outlier_indices == [absorbed[j] for j in np.flatnonzero(counters == 0)]
+    assert report.entries_sampled == entries
+    assert result.recovered.shape == estimates.shape
+    assert np.max(np.abs(result.recovered - estimates), initial=0.0) <= 1e-12
+    return decisions, absorbed, error
+
+
+def _longest_epoch(absorbed, n):
+    edges = [-1] + list(absorbed) + [n]
+    return max(b - a - 1 for a, b in zip(edges, edges[1:]))
+
+
+class TestExactReference:
+    """The block-at-a-time pass of run_exact against the column-at-a-time
+    reference loop it replaced."""
+
+    @pytest.mark.parametrize("r", [3, 6])
+    def test_sparse_noise_grid(self, r):
+        # d below, at and above the rank, each with s0 at its limit d - r - 1
+        longest = 0
+        for d in (r - 2, r, r + 1, r + 6, 20):
+            for seed in range(6):
+                inst = gen_gaussian_lowrank(30, 150, r, seed=seed)
+                s0 = max(0, d - r - 1)
+                if s0:
+                    inst = apply_noise(inst, NoiseSpec("sparse_columns", s0=s0), seed=seed + 40)
+                _, absorbed, error = _assert_matches_exact_reference(
+                    inst.M, ExactConfig(d=d, seed=seed + 80)
+                )
+                assert error is None
+                longest = max(longest, _longest_epoch(absorbed, 150))
+        assert longest > 16
+
+    def test_zero_columns(self):
+        for seed in range(10):
+            inst = gen_gaussian_lowrank(20, 90, 3, seed=seed)
+            inst = apply_noise(inst, NoiseSpec("sparse_columns", s0=4), seed=seed + 40)
+            M = inst.M.copy()
+            # the first column meets an empty dictionary
+            M[:, [0, 1, 9, 10, 11, 40, 89]] = 0.0
+            decisions, _, error = _assert_matches_exact_reference(M, ExactConfig(d=9, seed=seed))
+            assert error is None
+            assert decisions[0] == REPRESENTED
+
+    def test_rank_deficient_runs(self):
+        failures = 0
+        for seed in range(30):
+            _, _, error = _assert_matches_exact_reference(
+                _two_block_stream(seed), ExactConfig(d=4, seed=seed)
+            )
+            failures += isinstance(error, RankDeficientError)
+        assert 0 < failures < 30
+
+    @pytest.mark.parametrize("sampled_again", [True, False])
+    def test_nan_right_after_an_absorption(self, sampled_again):
+        # the NaN sits on a row the epoch that ends at the absorption read,
+        # in a column the clean stream represents; the next sample set does
+        # or does not read that row again
+        m, n, d = 30, 120, 12
+        placed = 0
+        for seed in range(20):
+            inst = gen_gaussian_lowrank(m, n, 4, seed=seed)
+            inst = apply_noise(inst, NoiseSpec("sparse_columns", s0=5), seed=seed + 40)
+            cfg = ExactConfig(d=d, seed=seed + 7)
+            decisions, absorbed = oracles.exact_reference(inst.M, cfg)[:2]
+            rng = np.random.default_rng(cfg.seed)
+            draws = [sample_indices(m, d, False, rng).indices for _ in range(len(absorbed) + 1)]
+            for j, a in enumerate(absorbed):
+                old, new = set(draws[j].tolist()), set(draws[j + 1].tolist())
+                rows = sorted(old & new) if sampled_again else sorted(old - new)
+                if a + 1 < n and decisions[a + 1] == REPRESENTED and rows:
+                    break
+            else:
+                continue
+            M = inst.M.copy()
+            M[rows[0], a + 1] = np.nan
+            _, _, error = _assert_matches_exact_reference(M, cfg)
+            if sampled_again:
+                assert str(error) == f"column {a + 1}: non-finite entry read"
+            else:
+                assert error is None
+            placed += 1
+        assert placed >= 10

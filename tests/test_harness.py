@@ -132,32 +132,43 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(generator="file")  # needs matrix_path
 
+    @pytest.mark.parametrize("generator", ["gaussian", "cumulative", "mixture", "lower_bound"])
+    def test_d_above_m_rejected_up_front(self, generator):
+        with pytest.raises(ValueError, match="need 1 <= d <= m"):
+            RunConfig(algorithm="tracker", generator=generator, m=10, d=11)
+        RunConfig(algorithm="tracker", generator=generator, m=10, d=10)
+
+    def test_file_d_checked_when_read(self):
+        # a file's row count is unknown until the trial loads it
+        RunConfig(generator="file", matrix_path="m.txt", m=10, d=11)
+
 
 class TestMakeInstance:
     def test_generator_dispatch(self):
-        cfg = RunConfig(generator="gaussian", m=15, n=30, r=2)
+        cfg = RunConfig(generator="gaussian", m=15, n=30, r=2, d=6)
         inst = make_instance(cfg, trial_seed=5)
         assert inst.shape == (15, 30) and inst.rank == 2
 
         cfg = RunConfig(
             generator="mixture", n_subspaces=2, subspace_dim=2, per_subspace=6,
-            m=15, sparsity=2, algorithm="mixture",
+            m=15, d=6, sparsity=2, algorithm="mixture",
         )
         inst = make_instance(cfg, trial_seed=5)
         assert inst.rank == 4
 
     def test_noise_attach(self):
-        cfg = RunConfig(generator="gaussian", m=15, n=30, r=2, noise="sparse", s0=4)
+        cfg = RunConfig(generator="gaussian", m=15, n=30, r=2, d=6, noise="sparse", s0=4)
         inst = make_instance(cfg, trial_seed=9)
         assert len(inst.noise_support) == 4
         cfg = RunConfig(
-            generator="gaussian", m=15, n=30, r=2, noise="bounded", noise_level=0.01
+            generator="gaussian", m=15, n=30, r=2, d=6, noise="bounded",
+            noise_level=0.01,
         )
         inst = make_instance(cfg, trial_seed=9)
         assert np.allclose(np.linalg.norm(inst.M - inst.L, axis=0), 0.01)
 
     def test_same_trial_seed_same_instance(self):
-        cfg = RunConfig(generator="gaussian", m=10, n=20, r=2, noise="sparse", s0=2)
+        cfg = RunConfig(generator="gaussian", m=10, n=20, r=2, d=6, noise="sparse", s0=2)
         a = make_instance(cfg, trial_seed=77)
         b = make_instance(cfg, trial_seed=77)
         assert np.array_equal(a.M, b.M)
@@ -166,7 +177,7 @@ class TestMakeInstance:
     def test_file_generator(self, tmp_path):
         from lifelong_mc.datagen import save_matrix
 
-        inst0 = make_instance(RunConfig(generator="gaussian", m=8, n=12, r=2), 3)
+        inst0 = make_instance(RunConfig(generator="gaussian", m=8, n=12, r=2, d=6), 3)
         mp = tmp_path / "m.txt"
         save_matrix(mp, inst0.M)
         cfg = RunConfig(generator="file", matrix_path=str(mp), r=2, d=6)
@@ -327,7 +338,7 @@ class TestCmdCompareMixture:
 class TestCmdGen:
     def test_writes_matrices_and_meta(self, tmp_path):
         cfg = RunConfig(
-            generator="gaussian", m=10, n=20, r=2, noise="sparse", s0=3,
+            generator="gaussian", m=10, n=20, r=2, d=6, noise="sparse", s0=3,
             seed=42, out=str(tmp_path / "inst"),
         )
         paths = cmd_gen(cfg)

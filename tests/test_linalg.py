@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import oracles
 from lifelong_mc.linalg import (
+    IndexSet,
     RankDeficientError,
     extend_basis,
     incoherence,
@@ -181,6 +182,22 @@ class TestSampleIndices:
             sample_indices(5, 6, with_replacement=False, rng=rng)
         with pytest.raises(ValueError):
             sample_indices(5, 0, with_replacement=True, rng=rng)
+
+    def test_draws_are_the_generator_draws(self):
+        # the index set wraps the raw draw unchanged, with no second pass
+        s = sample_indices(20, 12, with_replacement=False, rng=np.random.default_rng(4))
+        ref = np.random.default_rng(4).choice(20, size=12, replace=False)
+        assert s.indices.dtype == np.intp and np.array_equal(s.indices, ref)
+        s = sample_indices(10, 8, with_replacement=True, rng=np.random.default_rng(5))
+        assert np.array_equal(s.indices, np.random.default_rng(5).integers(0, 10, size=8))
+        assert s.with_replacement and s.m == 10
+
+    def test_user_index_sets_are_still_checked(self):
+        with pytest.raises(ValueError):
+            IndexSet(np.array([0, 5]), 5)
+        with pytest.raises(ValueError):
+            IndexSet(np.array([1, 1]), 5)
+        assert len(IndexSet(np.array([1, 1]), 5, with_replacement=True)) == 2
 
 
 class TestPrincipalAngle:

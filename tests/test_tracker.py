@@ -231,6 +231,10 @@ class TestRunStream:
         with pytest.raises(ValueError):
             run_stream(np.eye(10), cfg)
 
+    def test_bad_d_reported_before_an_off_norm_column(self):
+        with pytest.raises(ValueError, match="need 1 <= d <= m"):
+            run_stream(2.0 * np.eye(10), TrackerConfig(d=11))
+
 
 def _assert_matches_reference(M, cfg):
     """run_stream against oracles.stream_reference: the same decisions,
