@@ -257,26 +257,6 @@ def apply_noise(inst, spec, seed):
     )
 
 
-def apply_noise_matrix(inst, E):
-    """Extension hook: add a caller-supplied noise matrix to the clean view."""
-    E = np.asarray(E, dtype=float)
-    if E.shape != inst.L.shape:
-        raise ValueError("noise matrix shape must match the instance")
-    if not np.all(np.isfinite(E)):
-        raise ValueError("noise matrix must be finite")
-    support = [int(j) for j in np.flatnonzero(np.any(E != 0, axis=0))]
-    meta = dict(inst.metadata)
-    meta["noise"] = {"kind": "custom", "columns_touched": len(support)}
-    return Instance(
-        L=inst.L.copy(),
-        M=inst.L + E,
-        rank=inst.rank,
-        noise_support=support,
-        column_basis=None if inst.column_basis is None else inst.column_basis.copy(),
-        metadata=meta,
-    )
-
-
 def save_matrix(path, A):
     """Write a matrix as text: a 'rows cols' header line, then one line of
     space-separated entries per row, 17 significant digits (round-trip

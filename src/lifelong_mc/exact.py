@@ -31,7 +31,6 @@ from .linalg import (
     _mgs_residual,
     numerical_rank,
     orthonormalize,
-    project_residual,
     require_finite,
     sample_indices,
     spectrum_rank,
@@ -148,7 +147,7 @@ def exact_test(dict_rows, v_rows, cfg):
     B = np.asarray(dict_rows, dtype=float)
     if B.ndim != 2 or B.shape[1] == 0:
         return False
-    return project_residual(v, B) <= cfg.zero_tol * vn
+    return _SampledDictionary(B).residual(v) <= cfg.zero_tol * vn
 
 
 def _lstsq_coeffs(B, v):
@@ -324,19 +323,25 @@ def run_exact(M, cfg, truth=None):
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[1] < 1:
         raise ValueError("M must be 2-d with at least one column")
-    m, n = M.shape
+    m = M.shape[0]
     if not 1 <= cfg.d <= m:
         raise ValueError(f"need 1 <= d <= m, got d={cfg.d}, m={m}")
 
     started = time.perf_counter()
     run = _ExactPass(M, cfg)
-    try:
-        run.stream()
-    except RankDeficientError as err:
-        wrapped = RankDeficientError(f"column {run.done}: {err}")
-        wrapped.partial = run.result(truth, started)
-        raise wrapped from err
-    return run.result(truth, started)
+    return run.stream(lambda: run.result(truth, started))
+
+
+def _represent(cache, raw, V, rank_message):
+    """Coefficients of the columns V, sampled on the epoch's rows, and their
+    completions raw @ coefficients. Raises RankDeficientError with
+    rank_message, given the rank, size and row count, when the sampled
+    dictionary rows lost column rank."""
+    if cache.rank < raw.shape[1]:
+        raise RankDeficientError(rank_message.format(
+            rank=cache.rank, size=raw.shape[1], rows=cache.B.shape[0]))
+    coeffs = _lstsq_coeffs(cache.B, V)
+    return coeffs, raw @ coeffs
 
 
 # Columns tested together at the start of an epoch; the block doubles while
@@ -344,39 +349,36 @@ def run_exact(M, cfg, truth=None):
 _BLOCK = 8
 
 
-class _ExactPass:
-    """Mutable state of one run_exact pass: the dictionary, the RNG that
-    draws each epoch's sample set, and the columns handled so far (`done`
-    of them, recovered in place)."""
+class _EpochScan:
+    """The streaming loop of run_stream and run_exact. An epoch (the columns
+    between two absorptions) keeps one sample set and one factorization of
+    the sampled dictionary rows. A subclass supplies them with the full
+    dictionary (`_epoch`), the `_cutoff` for given column norms, the
+    `_absorb` step, the `_represented` bookkeeping and its `_rank_message`.
+    `done` counts the columns handled so far, recovered in place."""
 
-    def __init__(self, M, cfg):
+    def __init__(self, M):
         self.M = M
-        self.cfg = cfg
-        self.rng = np.random.default_rng(cfg.seed)
-        self.dictionary = BasisDictionary(M.shape[0])
         self.recovered = np.zeros_like(M)
-        self.absorbed_at = []
         self.done = 0
 
-    def stream(self):
-        m, n = self.M.shape
-        epoch = self._full_epoch if self.cfg.sparsity is None else self._sparse_epoch
-        while self.done < n:
-            # the sample set is redrawn after every absorption
-            rows = sample_indices(m, self.cfg.d, with_replacement=False, rng=self.rng).indices
-            epoch(rows, _SampledDictionary(self.dictionary.raw[rows, :]))
-            if self.done < n:
-                t = self.done
-                full = require_finite(self.M[:, t], t)
-                self.dictionary.append(full)
-                self.absorbed_at.append(t)
-                self.recovered[:, t] = full
-                self.done += 1
+    def stream(self, result):
+        """Scan every column and return result(). A RankDeficientError names
+        the column it stopped at and carries .partial, result() over the
+        columns before it."""
+        try:
+            while self.done < self.M.shape[1]:
+                self._scan(*self._epoch())
+        except RankDeficientError as err:
+            wrapped = RankDeficientError(f"column {self.done}: {err}")
+            wrapped.partial = result()
+            raise wrapped from err
+        return result()
 
-    def _full_epoch(self, rows, cache):
-        """Represent columns by the whole dictionary, a block at a time, up
-        to the first one it does not fit, which is left for absorption."""
-        M, cfg, dictionary = self.M, self.cfg, self.dictionary
+    def _scan(self, rows, cache, raw):
+        """Test columns a block at a time, complete every one before the
+        first over its cutoff with one solve, and absorb that first one."""
+        M = self.M
         width = _BLOCK
         while self.done < M.shape[1]:
             t = self.done
@@ -385,26 +387,65 @@ class _ExactPass:
             # test up to the first non-finite column; it raises only if no
             # absorption comes first, as later columns move to a new sample set
             clean = V.shape[1] if finite.all() else int(np.argmin(finite))
-            fit = _full_fit(cache, V[:, :clean], cfg.zero_tol)
+            cutoff = self._cutoff(np.linalg.norm(V[:, :clean], axis=0))
+            fit, resid = _full_fit(cache, V[:, :clean], cutoff)
             if fit:
-                if cache.rank < dictionary.size:
-                    raise RankDeficientError(
-                        f"sampled dictionary has rank {cache.rank} < "
-                        f"{dictionary.size} columns; increase the sample count"
-                    )
-                coeffs = _lstsq_coeffs(cache.B, V[:, :fit])
-                dictionary.record_support(coeffs, cfg.zero_tol)
-                self.recovered[:, t:t + fit] = dictionary.raw @ coeffs
+                coeffs, self.recovered[:, t:t + fit] = _represent(
+                    cache, raw, V[:, :fit], self._rank_message)
+                self._represented(t, coeffs, resid[:fit], cutoff[:fit])
                 self.done += fit
             if fit < clean:
+                self._absorb(self.done, resid[fit], cutoff[fit])
+                self.done += 1
                 return
             if clean < V.shape[1]:
                 require_finite(V[:, clean], self.done)  # raises
             width *= 2
 
-    def _sparse_epoch(self, rows, cache):
+
+class _ExactPass(_EpochScan):
+    """One run_exact pass: the dictionary, the RNG that draws each epoch's
+    sample set, and the columns absorbed so far."""
+
+    _rank_message = "sampled dictionary has rank {rank} < {size} columns; increase the sample count"
+
+    def __init__(self, M, cfg):
+        super().__init__(M)
+        self.cfg = cfg
+        self.rng = np.random.default_rng(cfg.seed)
+        self.dictionary = BasisDictionary(M.shape[0])
+        self.absorbed_at = []
+
+    def _epoch(self):
+        # the sample set is redrawn after every absorption
+        rows = sample_indices(self.M.shape[0], self.cfg.d, False, self.rng).indices
+        raw = self.dictionary.raw
+        return rows, _SampledDictionary(raw[rows, :]), raw
+
+    def _scan(self, rows, cache, raw):
+        # a method, not `self._scan = self._sparse_epoch`: that bound method
+        # would keep the pass in a reference cycle and its memory held
+        if self.cfg.sparsity is None:
+            super()._scan(rows, cache, raw)
+        else:
+            self._sparse_epoch(rows, cache, raw)
+
+    def _cutoff(self, norms):
+        return self.cfg.zero_tol * norms
+
+    def _represented(self, t, coeffs, resid, cutoff):
+        self.dictionary.record_support(coeffs, self.cfg.zero_tol)
+
+    def _absorb(self, t, resid=None, cutoff=None):
+        full = require_finite(self.M[:, t], t)
+        self.dictionary.append(full)
+        self.absorbed_at.append(t)
+        self.recovered[:, t] = full
+
+    def _sparse_epoch(self, rows, cache, raw):
         """Represent columns one at a time by the first support of at most
-        cfg.sparsity atoms that fits, up to the first column without one."""
+        cfg.sparsity atoms that fits, up to the first column without one,
+        which is absorbed."""
         M, cfg, dictionary = self.M, self.cfg, self.dictionary
         while self.done < M.shape[1]:
             t = self.done
@@ -413,11 +454,13 @@ class _ExactPass:
                 cache.B, v, cfg.sparsity, cfg.zero_tol, cfg.max_combinations, cache
             )
             if fit is None:
+                self._absorb(t)
+                self.done += 1
                 return
             sup, csub = fit
             if sup.size:
                 self.recovered[:, t] = subsampled_complete(
-                    dictionary.raw[:, sup], cache.B[:, sup], v
+                    raw[:, sup], cache.B[:, sup], v
                 )
             scattered = np.zeros(dictionary.size)
             scattered[sup] = csub
@@ -468,9 +511,11 @@ class _ExactPass:
         return result, report
 
 
-def _full_fit(cache, V, zero_tol):
-    """How many leading columns of the (d, b) block V the whole sampled
-    dictionary represents within zero_tol relative residual. A zero column
-    always fits; an empty dictionary fits nothing else."""
-    over = cache.residual(V) > zero_tol * np.linalg.norm(V, axis=0)
-    return int(np.argmax(over)) if over.any() else V.shape[1]
+def _full_fit(cache, V, cutoff):
+    """How many leading columns of the (d, b) block V lie within their
+    cutoff of the span of the sampled dictionary rows, and the b residuals.
+    A zero column fits a zero cutoff; an empty dictionary fits only zero
+    columns."""
+    resid = cache.residual(V)
+    over = resid > cutoff
+    return (int(np.argmax(over)) if over.any() else V.shape[1]), resid

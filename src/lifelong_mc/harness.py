@@ -384,12 +384,13 @@ def cmd_run(cfg):
 
 
 def _tracker_column_rows(trial, cfg, report, res):
+    m = res.recovered.shape[0]  # a file run has the file's row count, not cfg.m
     out = []
     for t, comp in enumerate(res.completions):
         err = None
         if report.per_column_error is not None:
             err = float(report.per_column_error[t])
-        scale = cfg.m / cfg.d * float(np.sqrt(comp.basis_size * cfg.noise_level))
+        scale = m / cfg.d * float(np.sqrt(comp.basis_size * cfg.noise_level))
         out.append({
             "schema_version": SCHEMA_VERSION,
             "trial": trial,

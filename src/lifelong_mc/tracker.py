@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exact import _lstsq_coeffs, _SampledDictionary
-from .linalg import RankDeficientError, extend_basis, require_finite, sample_indices
+from .exact import _EpochScan, _represent, _SampledDictionary
+from .linalg import extend_basis, require_finite, sample_indices
 from .report import ABSORBED, REPRESENTED, RunReport, frobenius_error
 
 
@@ -71,7 +71,8 @@ def residual_threshold(basis_size, cfg, m):
 class Completion:
     """Outcome for one column. decision is absorbed exactly when
     residual > threshold (the threshold stored here is the effective one,
-    including the zero floor)."""
+    including the zero floor). Under run_stream the estimate is a view of
+    the column in StreamResult.recovered; process_column returns its own."""
 
     estimate: np.ndarray
     decision: str
@@ -81,9 +82,10 @@ class Completion:
 
 
 class TrackerState:
-    """Mutable single-pass state: basis, current sample set, RNG, and the
+    """Mutable single-pass state: basis, current sample set, RNG, the
     factored sampled basis rows of the current epoch (columns since the
-    last absorption)."""
+    last absorption), and the Completion of every column handled so far,
+    whether by process_column or by run_stream's epoch scan."""
 
     def __init__(self, m, cfg):
         if not 1 <= cfg.d <= m:
@@ -118,9 +120,29 @@ class TrackerState:
         self._epoch = None
         self.resample_events += 1
 
+    def _cutoff(self, cfg, norms):
+        """Effective cutoff for sampled columns of the given norms: the
+        calibrated threshold, floored by zero_floor times the norm."""
+        return np.maximum(residual_threshold(self.basis_size, cfg, self.m),
+                          cfg.zero_floor * norms)
+
+    def _absorb(self, full, resid, cutoff, cfg):
+        """Log the fully read column as absorbed, add its direction to the
+        basis and redraw the sample set."""
+        comp = Completion(full, ABSORBED, resid, cutoff, self.basis_size)
+        self.column_log.append(comp)
+        self.basis = extend_basis(self.basis, full)
+        self.absorb_events += 1
+        self.resample(cfg)
+        return comp
+
 
 def _sampled_residual(state, v):
     return state.epoch.residual(v)
+
+
+_RANK_MESSAGE = ("sampled basis has rank {rank} < {size} columns over {rows} sampled rows; "
+                 "increase the sample count")
 
 
 def _read(column_oracle, rows, t):
@@ -137,38 +159,53 @@ def process_column(state, column_oracle, cfg):
     the sampled entries are requested; a full read happens exactly when the
     column is absorbed, and the sample set is redrawn right after. Every
     read is checked for length and finiteness; a ValueError names the
-    column by its position in the stream.
+    column by its position in the stream. Driven column by column over a
+    stream, it makes the decisions of run_stream, whose block arithmetic
+    differs only at rounding level.
     """
     idx = state.omega.indices
     t = len(state.column_log)
     v = _read(column_oracle, idx, t)
     resid = _sampled_residual(state, v)
-    cutoff = max(
-        residual_threshold(state.basis_size, cfg, state.m),
-        cfg.zero_floor * float(np.linalg.norm(v)),
-    )
-    k_at = state.basis_size
+    cutoff = float(state._cutoff(cfg, float(np.linalg.norm(v))))
     if resid > cutoff:
         rest = np.setdiff1d(np.arange(state.m), idx)
         full = np.empty(state.m)
         full[idx] = v
         if rest.size:
             full[rest] = _read(column_oracle, rest, t)
-        state.basis = extend_basis(state.basis, full)
-        state.absorb_events += 1
-        state.resample(cfg)
-        comp = Completion(full, ABSORBED, resid, cutoff, k_at)
-    else:
-        epoch = state.epoch
-        if epoch.rank < k_at:
-            raise RankDeficientError(
-                f"sampled basis has rank {epoch.rank} < {k_at} columns over "
-                f"{idx.size} sampled rows; increase the sample count"
-            )
-        est = state.basis @ _lstsq_coeffs(epoch.B, v) if k_at else np.zeros(state.m)
-        comp = Completion(est, REPRESENTED, resid, cutoff, k_at)
+        return state._absorb(full, resid, cutoff, cfg)
+    _, est = _represent(state.epoch, state.basis, v, _RANK_MESSAGE)
+    comp = Completion(est, REPRESENTED, resid, cutoff, state.basis_size)
     state.column_log.append(comp)
     return comp
+
+
+class _TrackerScan(_EpochScan):
+    """run_stream's pass over a TrackerState, logging a Completion per
+    column whose estimate is a view of `recovered`."""
+
+    _rank_message = _RANK_MESSAGE
+
+    def __init__(self, M, state, cfg):
+        super().__init__(M)
+        self.state, self.cfg = state, cfg
+
+    def _epoch(self):
+        return self.state.omega.indices, self.state.epoch, self.state.basis
+
+    def _cutoff(self, norms):
+        return self.state._cutoff(self.cfg, norms)
+
+    def _represented(self, t, coeffs, resid, cutoff):
+        k = self.state.basis_size
+        self.state.column_log.extend(
+            Completion(self.recovered[:, t + j], REPRESENTED, r, c, k)
+            for j, (r, c) in enumerate(zip(resid.tolist(), cutoff.tolist())))
+
+    def _absorb(self, t, resid, cutoff):
+        self.recovered[:, t] = self.M[:, t]
+        self.state._absorb(self.recovered[:, t], float(resid), float(cutoff), self.cfg)
 
 
 @dataclass
@@ -191,9 +228,8 @@ def run_stream(M, cfg, truth=None):
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[1] < 1:
         raise ValueError("M must be 2-d with at least one column")
-    m, n = M.shape
     started = time.perf_counter()
-    state = TrackerState(m, cfg)  # rejects a bad d before any column is checked
+    state = TrackerState(M.shape[0], cfg)  # rejects a bad d before any column is checked
     norms = np.linalg.norm(M, axis=0)
     bad = np.flatnonzero(~np.isfinite(norms))
     if bad.size:
@@ -210,20 +246,13 @@ def run_stream(M, cfg, truth=None):
             raise ValueError("cannot rescale a zero column")
         M = M / norms
 
-    recovered = np.empty_like(M)
-    for t in range(n):
-        col = M[:, t]
-        try:
-            comp = process_column(state, lambda ix, c=col: c[ix], cfg)
-        except RankDeficientError as err:
-            wrapped = RankDeficientError(f"column {t}: {err}")
-            wrapped.partial = _build_result(state, recovered[:, :t], M, cfg, truth, started)
-            raise wrapped from err
-        recovered[:, t] = comp.estimate
-    return _build_result(state, recovered, M, cfg, truth, started)
+    run = _TrackerScan(M, state, cfg)
+    return run.stream(lambda: _build_result(
+        state, run.recovered[:, :run.done], cfg, truth, started
+    ))
 
 
-def _build_result(state, recovered, M, cfg, truth, started):
+def _build_result(state, recovered, cfg, truth, started):
     m = state.m
     n_done = recovered.shape[1]
     report = RunReport(

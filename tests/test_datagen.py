@@ -7,7 +7,6 @@ from lifelong_mc.datagen import (
     MatrixFormatError,
     NoiseSpec,
     apply_noise,
-    apply_noise_matrix,
     gen_cumulative,
     gen_gaussian_lowrank,
     gen_lower_bound,
@@ -182,16 +181,6 @@ class TestApplyNoise:
             apply_noise(
                 inst, NoiseSpec("sparse_columns", s0=2, positions=[1, 25]), seed=0
             )
-
-    def test_custom_noise_matrix(self):
-        inst = gen_gaussian_lowrank(10, 20, 2, seed=11)
-        E = np.zeros(inst.shape)
-        E[3, 7] = 0.5
-        noisy = apply_noise_matrix(inst, E)
-        assert noisy.noise_support == [7]
-        assert noisy.M[3, 7] == pytest.approx(inst.L[3, 7] + 0.5)
-        with pytest.raises(ValueError):
-            apply_noise_matrix(inst, np.zeros((3, 3)))
 
 
 class TestMatrixIO:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from lifelong_mc.datagen import load_matrix
+from lifelong_mc.datagen import NoiseSpec, apply_noise, load_matrix, save_matrix
 from lifelong_mc.harness import (
     RunConfig,
     SweepGrid,
@@ -175,8 +175,6 @@ class TestMakeInstance:
         assert a.noise_support == b.noise_support
 
     def test_file_generator(self, tmp_path):
-        from lifelong_mc.datagen import save_matrix
-
         inst0 = make_instance(RunConfig(generator="gaussian", m=8, n=12, r=2, d=6), 3)
         mp = tmp_path / "m.txt"
         save_matrix(mp, inst0.M)
@@ -245,6 +243,26 @@ class TestCmdRun:
         assert {"decision", "residual", "threshold", "error_scale"} <= set(header)
         decisions = {row["decision"] for row in rows}
         assert decisions <= {"absorbed", "represented"}
+
+    def test_column_error_scale_uses_the_file_row_count(self, tmp_path):
+        # a 30 x 60 file under the default m = 50: the envelope scale is
+        # (m/d) sqrt(k eps) with the file's m
+        inst = make_instance(RunConfig(generator="gaussian", m=30, n=60, r=2, d=20), 5)
+        noisy = apply_noise(inst, NoiseSpec("bounded", eps=1e-3), seed=6)
+        mp = tmp_path / "m.txt"
+        save_matrix(mp, noisy.M)
+        out = tmp_path / "f.csv"
+        cfg = RunConfig(
+            algorithm="tracker", generator="file", matrix_path=str(mp), r=2, d=20,
+            noise_level=1e-3, seed=1, out=str(out),
+        )
+        assert cfg.m != 30
+        cmd_run(cfg)
+        _, _, rows = read_csv(tmp_path / "f_columns.csv")
+        for row in rows:
+            k = int(row["basis_size"])
+            assert float(row["error_scale"]) == pytest.approx(30 / 20 * np.sqrt(k * 1e-3))
+        assert any(int(row["basis_size"]) == 2 for row in rows)
 
     def test_config_errors_raise_without_csv(self, tmp_path):
         # rank larger than the stream width: a config error, not a result

@@ -236,10 +236,30 @@ class TestRunStream:
             run_stream(2.0 * np.eye(10), TrackerConfig(d=11))
 
 
+def _reference_streams(generator, noise_level):
+    for seed in range(5):
+        if generator == "gaussian":
+            inst = gen_gaussian_lowrank(30, 150, 4, seed=seed)
+        else:
+            inst = gen_cumulative(30, seed, widths=(30, 30, 30, 60))
+        if noise_level:
+            inst = apply_noise(inst, NoiseSpec("bounded", eps=noise_level), seed=seed + 50)
+        yield inst.M, TrackerConfig(d=12, noise_level=noise_level, seed=seed + 100)
+
+
+def _rank_deficient_streams():
+    # d=2 with replacement over m=8 rows: a doubled index meets the
+    # two-column basis on some of these seeds
+    for seed in range(12):
+        yield gen_gaussian_lowrank(8, 60, 2, seed=seed).M, TrackerConfig(d=2, seed=seed)
+
+
 def _assert_matches_reference(M, cfg):
-    """run_stream against oracles.stream_reference: the same decisions,
-    residuals, thresholds and estimates, bit for bit, and a rank-deficient
-    completion at the same column. Returns that column or None."""
+    """run_stream against oracles.stream_reference. It tests and completes
+    a block of columns at a time, so its residuals and thresholds agree
+    within 1e-15 and its estimates within 1e-14; decisions are equal, and
+    a rank-deficient completion stops it at the same column. Returns that
+    column or None."""
     decisions, residuals, thresholds, estimates, failed_at = oracles.stream_reference(M, cfg)
     if failed_at is None:
         res = run_stream(M, cfg)
@@ -248,9 +268,38 @@ def _assert_matches_reference(M, cfg):
             run_stream(M, cfg)
         res = info.value.partial
     assert [c.decision for c in res.completions] == decisions
-    assert [c.residual for c in res.completions] == residuals
-    assert [c.threshold for c in res.completions] == thresholds
-    assert np.array_equal(res.recovered, estimates)
+    assert np.allclose([c.residual for c in res.completions], residuals, rtol=0, atol=1e-15)
+    assert np.allclose([c.threshold for c in res.completions], thresholds, rtol=0, atol=1e-15)
+    assert res.recovered.shape == estimates.shape
+    assert np.allclose(res.recovered, estimates, rtol=0, atol=1e-14)
+    return failed_at
+
+
+def _assert_process_column_matches(M, cfg):
+    """process_column, driven column by column over M, against
+    oracles.stream_reference bit for bit, up to the same rank-deficient
+    completion, and with the decisions of run_stream. Returns that column
+    or None."""
+    decisions, residuals, thresholds, estimates, failed_at = oracles.stream_reference(M, cfg)
+    state = TrackerState(M.shape[0], cfg)
+    stopped = None
+    for t in range(M.shape[1]):
+        try:
+            process_column(state, lambda ix, col=M[:, t]: col[ix], cfg)
+        except RankDeficientError:
+            stopped = t
+            break
+    log = state.column_log
+    assert stopped == failed_at
+    assert [c.decision for c in log] == decisions
+    assert [c.residual for c in log] == residuals
+    assert [c.threshold for c in log] == thresholds
+    assert np.array_equal(np.column_stack([c.estimate for c in log]), estimates)
+    try:
+        streamed = run_stream(M, cfg).completions
+    except RankDeficientError as err:
+        streamed = err.partial.completions
+    assert [c.decision for c in streamed] == decisions
     return failed_at
 
 
@@ -258,22 +307,27 @@ class TestStreamReference:
     @pytest.mark.parametrize("noise_level", [0.0, 1e-3, 0.3])
     @pytest.mark.parametrize("generator", ["gaussian", "cumulative"])
     def test_matches_reference_loop(self, generator, noise_level):
-        for seed in range(5):
-            if generator == "gaussian":
-                inst = gen_gaussian_lowrank(30, 150, 4, seed=seed)
-            else:
-                inst = gen_cumulative(30, seed, widths=(30, 30, 30, 60))
-            if noise_level:
-                inst = apply_noise(inst, NoiseSpec("bounded", eps=noise_level), seed=seed + 50)
-            cfg = TrackerConfig(d=12, noise_level=noise_level, seed=seed + 100)
-            assert _assert_matches_reference(inst.M, cfg) is None
+        for M, cfg in _reference_streams(generator, noise_level):
+            assert _assert_matches_reference(M, cfg) is None
 
     def test_rank_deficient_at_the_same_column(self):
-        # d=2 with replacement over m=8 rows: a doubled index meets the
-        # two-column basis on some of these seeds
-        failures = 0
-        for seed in range(12):
-            inst = gen_gaussian_lowrank(8, 60, 2, seed=seed)
-            cfg = TrackerConfig(d=2, seed=seed)
-            failures += _assert_matches_reference(inst.M, cfg) is not None
+        failures = sum(
+            _assert_matches_reference(M, cfg) is not None
+            for M, cfg in _rank_deficient_streams()
+        )
+        assert 0 < failures < 12
+
+    def test_process_column_matches_bit_for_bit(self):
+        # the per-column primitive, driven over the same streams, keeps the
+        # reference's exact results and run_stream's decisions
+        streams = [
+            stream
+            for generator in ("gaussian", "cumulative")
+            for noise_level in (0.0, 1e-3, 0.3)
+            for stream in _reference_streams(generator, noise_level)
+        ]
+        failures = sum(
+            _assert_process_column_matches(M, cfg) is not None
+            for M, cfg in streams + list(_rank_deficient_streams())
+        )
         assert 0 < failures < 12
